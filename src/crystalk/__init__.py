@@ -58,7 +58,6 @@ from .toruskt import (
     build_report,
     cohomology_invariants,
     fixed_set,
-    group_cstar_k,
     integral_k_theory,
     k_ranks_delocalized,
     kunneth_assembly,
@@ -99,7 +98,6 @@ __all__ = [
     "decompose",
     "exterior_trace_poly",
     "fixed_set",
-    "group_cstar_k",
     "integral_k_theory",
     "invariants",
     "k_ranks_delocalized",

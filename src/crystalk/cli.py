@@ -24,16 +24,16 @@ from .errors import (
     ScopeError,
 )
 from .intlin import IntMatrix
-from .lattice import ActionClass, classify, invariants, validate_involution
+from .lattice import ActionClass, validate_involution
 from .toruskt import (
     SPEC_VERSION,
     ScopeFlag,
     build_report,
     cohomology_invariants,
-    fixed_set,
     hexagon_rank_sum,
     k_ranks_delocalized,
     kunneth_assembly,
+    structure_report,
 )
 
 EXIT_OK = 0
@@ -114,8 +114,13 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
+    if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
+        raise ValueError('expected a JSON object {"n": int, "matrix": [[int, ...], ...]}')
     n = doc["n"]
     rows = doc["matrix"]
+    # bool is a subclass of int but never a dimension
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"matrix must have n = {n} rows")
     return IntMatrix.from_rows(rows)
@@ -129,18 +134,27 @@ def _matrix_hash(m: IntMatrix) -> str:
 
 
 def _cache_lookup(path: str, key: str) -> dict | None:
+    """The cached report for ``key``, skipping lines that are not records."""
+    hit, skipped = None, 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                rec = json.loads(line)
-                if rec.get("key") == key:
-                    return rec["report"]
+                try:
+                    rec = json.loads(line)
+                    rec_key, report = rec["key"], rec["report"]
+                except (ValueError, TypeError, KeyError):  # bad UTF-8, JSON or record
+                    skipped += 1
+                    continue
+                if rec_key == key and isinstance(report, dict):
+                    hit = report
+                    break
     except FileNotFoundError:
         return None
-    return None
+    if skipped:
+        print(f"warning: skipped {skipped} unreadable line(s) in cache {path}", file=sys.stderr)
+    return hit
 
 
 def _cache_append(path: str, key: str, meta: dict, report: dict) -> None:
@@ -183,15 +197,7 @@ def _report_text(report: dict) -> list[str]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     lat = validate_involution(_load_matrix(args))
-    inv = invariants(lat)
-    desc = fixed_set(lat)
-    payload = {
-        "spec_version": SPEC_VERSION,
-        "input": {"n": lat.n, "matrix": lat.matrix.to_rows()},
-        "invariants": inv.as_dict(),
-        "class": classify(lat).value,
-        "fixed_set": {"dim": desc.dim, "components": desc.components},
-    }
+    payload = structure_report(lat)
     _emit(args, payload, _report_text(payload))
     return EXIT_OK
 
@@ -223,37 +229,19 @@ def cmd_ranks(args: argparse.Namespace) -> int:
 
 def cmd_cstar(args: argparse.Namespace) -> int:
     lat = validate_involution(_load_matrix(args))
-    cache_key = None
     if args.cache:
-        inv = invariants(lat)
-        cache_key = hashlib.sha256(
-            json.dumps(
-                {
-                    "command": "cstar",
-                    "n": lat.n,
-                    "invariants": inv.as_dict(),
-                    "matrix": _matrix_hash(lat.matrix),
-                },
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()
+        inv = lat.analysis.invariants.as_dict()
+        matrix_hash = _matrix_hash(lat.matrix)
+        key_doc = {"command": "cstar", "n": lat.n, "invariants": inv, "matrix": matrix_hash}
+        cache_key = hashlib.sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()
         cached = _cache_lookup(args.cache, cache_key)
         if cached is not None:
             _emit(args, cached, _report_text(cached))
             return EXIT_OK
     report = build_report(lat, kind="cstar")
-    if args.cache and cache_key is not None:
-        inv = invariants(lat)
-        _cache_append(
-            args.cache,
-            cache_key,
-            {
-                "n": lat.n,
-                "invariants": inv.as_dict(),
-                "matrix_hash": _matrix_hash(lat.matrix),
-            },
-            report,
-        )
+    if args.cache:
+        meta = {"n": lat.n, "invariants": inv, "matrix_hash": matrix_hash}
+        _cache_append(args.cache, cache_key, meta, report)
     _emit(args, report, _report_text(report))
     return EXIT_OK
 
@@ -318,7 +306,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     canonical_ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
     for member in corpus.members:
         lat = validate_involution(member.matrix)
-        inv = invariants(lat)
+        analysis = lat.analysis
+        inv = analysis.invariants
         checks: dict[str, bool] = {}
         checks["invariants"] = inv == member.invariants
         checks["tate"] = oracle.tate_invariants(member.matrix) == member.invariants
@@ -327,7 +316,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         expected = canonical_ranks.setdefault(key, deloc.ranks)
         checks["conjugation"] = deloc.ranks == expected
         checks["hexagon"] = hexagon_rank_sum(lat) == 0
-        cls = classify(lat)
+        cls = analysis.action_class
         if cls is ActionClass.MIXED_SPLIT:
             checks["routes"] = kunneth_assembly(lat).ranks == deloc.ranks
         if run_exterior:
@@ -336,9 +325,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ) == cohomology_invariants(lat)
         if run_grid:
             grid = oracle.fixed_grid_components(member.matrix, VERIFY_GRID_DENOMINATOR)
-            desc = fixed_set(lat)
             checks["grid"] = (
-                grid.components == desc.components and grid.dim_estimate == desc.dim
+                grid.components == analysis.fixed_components
+                and grid.dim_estimate == analysis.fixed_dim
             )
         ok = all(checks.values())
         if not ok:

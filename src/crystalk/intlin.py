@@ -58,8 +58,12 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            # operator.index rejects floats while accepting any Integral type
-            flat.extend(operator.index(x) for x in r)
+            # operator.index rejects floats while accepting any Integral
+            # type, bool included
+            if bool in map(type, r):
+                bad = next(x for x in r if type(x) is bool)
+                raise TypeError(f"matrix entries must be integers, got {bad!r}")
+            flat.extend(map(operator.index, r))
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod

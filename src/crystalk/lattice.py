@@ -11,7 +11,9 @@ of basis to the canonical block-diagonal form.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
@@ -26,6 +28,7 @@ __all__ = [
     "InvolutiveLattice",
     "StructureInvariants",
     "ActionClass",
+    "LatticeAnalysis",
     "validate_involution",
     "invariants",
     "classify",
@@ -41,6 +44,11 @@ class InvolutiveLattice:
 
     n: int
     matrix: IntMatrix
+
+    @cached_property
+    def analysis(self) -> LatticeAnalysis:
+        """Structure of the action, computed once per lattice."""
+        return _analyse(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,20 @@ class ActionClass(enum.Enum):
     MIXED_NONSPLIT = "MixedNonSplit"
 
 
+@dataclass(frozen=True)
+class LatticeAnalysis:
+    """Everything the Smith forms of A - I and A + I say about the lattice.
+
+    (a, b, c) fix the lattice up to isomorphism (Reiner 1957); the
+    fixed subtorus has dimension a + c and 2^b components.
+    """
+
+    invariants: StructureInvariants
+    action_class: ActionClass
+    fixed_dim: int
+    fixed_components: int
+
+
 class Block(enum.Enum):
     TRIV = "Triv"
     SIGN = "Sign"
@@ -96,13 +118,23 @@ def validate_involution(a: IntMatrix) -> InvolutiveLattice:
 
 
 def invariants(lat: InvolutiveLattice) -> StructureInvariants:
-    """Summand multiplicities (a, b, c), computed via Smith normal form.
+    """Summand multiplicities (a, b, c); see :class:`LatticeAnalysis`."""
+    return lat.analysis.invariants
+
+
+def classify(lat: InvolutiveLattice) -> ActionClass:
+    """Class of the action, determined by (a, b, c)."""
+    return lat.analysis.action_class
+
+
+def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
+    """Analysis of a validated involution from the Smith forms of A - I and A + I.
 
     The torsion of coker(A - I) is (Z/2)^b and the torsion of
-    coker(A + I) is (Z/2)^a; the fixed-sublattice rank is a + c.
+    coker(A + I) is (Z/2)^a; the fixed-sublattice rank is a + c, and
+    the torsion order of coker(A - I) counts the fixed components.
     """
-    a_mat = lat.matrix
-    n = lat.n
+    n = a_mat.rows
     ident = IntMatrix.identity(n)
     minus = smith_normal_form(a_mat - ident)
     plus = smith_normal_form(a_mat + ident)
@@ -111,30 +143,31 @@ def invariants(lat: InvolutiveLattice) -> StructureInvariants:
             raise InternalInvariantError(f"unexpected invariant factor {d} for an involution")
     b = sum(1 for d in minus.divisors if d == 2)
     a = sum(1 for d in plus.divisors if d == 2)
-    fixed_rank = sum(1 for d in minus.divisors if d == 0)
-    c = fixed_rank - a
+    fixed_dim = sum(1 for d in minus.divisors if d == 0)
+    c = fixed_dim - a
     inv = StructureInvariants(a=a, b=b, c=c)
     if inv.a + inv.b + 2 * inv.c != n or c < 0:
         raise InternalInvariantError(f"inconsistent invariants {inv} for n={n}")
     anti_rank = sum(1 for d in plus.divisors if d == 0)
     if anti_rank != b + c:
         raise InternalInvariantError("kernel ranks of A-I and A+I do not complement")
-    return inv
+    components = math.prod(d for d in minus.divisors if d >= 2)
+    if components != 2**b:
+        raise InternalInvariantError(f"component count {components} disagrees with 2^b = {2**b}")
+    if fixed_dim != inv.fixed_rank:
+        raise InternalInvariantError("fixed dimension disagrees with a + c")
 
-
-def classify(lat: InvolutiveLattice) -> ActionClass:
-    """Class of the action, determined by (a, b, c)."""
-    inv = invariants(lat)
-    n = lat.n
-    if inv.c >= 1:
-        return ActionClass.MIXED_NONSPLIT
-    if inv.a == n:
-        return ActionClass.TRIVIAL
-    if inv.b == n:
-        if lat.matrix != -IntMatrix.identity(n):
+    if c >= 1:
+        cls = ActionClass.MIXED_NONSPLIT
+    elif a == n:
+        cls = ActionClass.TRIVIAL
+    elif b == n:
+        if a_mat != -ident:
             raise InternalInvariantError("sign-only invariants but A != -I")
-        return ActionClass.FREE_OUTSIDE_ORIGIN
-    return ActionClass.MIXED_SPLIT
+        cls = ActionClass.FREE_OUTSIDE_ORIGIN
+    else:
+        cls = ActionClass.MIXED_SPLIT
+    return LatticeAnalysis(inv, cls, fixed_dim, components)
 
 
 def canonical_matrix(a: int, b: int, c: int) -> IntMatrix:
@@ -166,7 +199,7 @@ def decompose(lat: InvolutiveLattice) -> tuple[IntMatrix, tuple[Block, ...]]:
 
     Returns (U, blocks) with blocks ordered Triv, then Sign, then Reg.
     """
-    inv = invariants(lat)
+    inv = lat.analysis.invariants
     a, b, c = inv.a, inv.b, inv.c
     n = lat.n
     blocks = (Block.TRIV,) * a + (Block.SIGN,) * b + (Block.REG,) * c

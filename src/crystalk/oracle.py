@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .intlin import (
     smith_normal_form,
 )
 from .lattice import (
-    InvolutiveLattice,
     StructureInvariants,
     canonical_matrix,
     invariants,
@@ -115,14 +114,6 @@ def _gf2_basis(vectors: Iterable[int]) -> list[int]:
                 table[p] = v
                 break
     return [table[p] for p in sorted(table, reverse=True)]
-
-
-def _gf2_reduce(v: int, basis: Sequence[int]) -> int:
-    for b in basis:
-        p = b.bit_length() - 1
-        if (v >> p) & 1:
-            v ^= b
-    return v
 
 
 def _gf2_rank_rows(m: IntMatrix) -> int:
@@ -751,7 +742,3 @@ def corpus_from_json(text: str) -> Corpus:
         for m in doc["members"]
     )
     return Corpus(n=doc["n"], seed=doc["seed"], members=members)
-
-
-def member_lattice(member: CorpusMember) -> InvolutiveLattice:
-    return validate_involution(member.matrix)

@@ -36,7 +36,6 @@ __all__ = [
     "tor1",
     "localize",
     "mult_one_minus_t",
-    "zero_module",
     "load_tables",
     "table_checksum",
     "canonical_table_bytes",
@@ -101,10 +100,6 @@ class RModuleSum:
     def __str__(self) -> str:
         parts = [f"{name}^{m}" for name, m in self.as_dict().items() if m]
         return " + ".join(parts) if parts else "0"
-
-
-def zero_module() -> RModuleSum:
-    return RModuleSum()
 
 
 _SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import InternalInvariantError, ScopeError
-from .intlin import IntMatrix, exterior_trace_poly, smith_normal_form
-from .lattice import ActionClass, InvolutiveLattice, classify, invariants
+from .intlin import exterior_trace_poly
+from .lattice import ActionClass, InvolutiveLattice
 from .repring import (
     DYADIC,
     MIN_MINUS,
@@ -49,12 +49,11 @@ __all__ = [
     "fixed_set",
     "cohomology_invariants",
     "twisted_ranks",
-    "twisted_point_coefficient_ranks",
     "k_ranks_delocalized",
     "kunneth_assembly",
     "integral_k_theory",
-    "group_cstar_k",
     "hexagon_rank_sum",
+    "structure_report",
     "build_report",
     "collect_torsion_flags",
 ]
@@ -131,24 +130,12 @@ class KRankReport:
 def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
     """Dimension and component count of the fixed subtorus.
 
-    The component count is the torsion order of coker(A - I) and must
-    match 2^b from the structure invariants; both are computed and
-    compared.
+    The component count is the torsion order of coker(A - I); the
+    lattice analysis checks it against 2^b and the dimension against
+    a + c.
     """
-    snf = smith_normal_form(lat.matrix - IntMatrix.identity(lat.n))
-    dim = sum(1 for d in snf.divisors if d == 0)
-    components = 1
-    for d in snf.divisors:
-        if d >= 2:
-            components *= d
-    inv = invariants(lat)
-    if components != 2**inv.b:
-        raise InternalInvariantError(
-            f"component count {components} disagrees with 2^b = {2**inv.b}"
-        )
-    if dim != inv.fixed_rank:
-        raise InternalInvariantError("fixed dimension disagrees with a + c")
-    return FixedSetDescription(dim=dim, components=components)
+    analysis = lat.analysis
+    return FixedSetDescription(dim=analysis.fixed_dim, components=analysis.fixed_components)
 
 
 def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
@@ -188,16 +175,6 @@ def _fixed_cohomology_ranks(desc: FixedSetDescription) -> tuple[int, int]:
         per = 2 ** (desc.dim - 1)
         return desc.components * per, desc.components * per
     return desc.components, 0
-
-
-def twisted_point_coefficient_ranks() -> tuple[int, int]:
-    """Ranks of the sign-twisted theory of a point: rank 1 in even degree.
-
-    This is the calibration anchor for the twisted rank recipe; the
-    coefficients are the rank-1 ideal (t - 1), concentrated in even
-    degree.
-    """
-    return (1, 0)
 
 
 def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
@@ -289,8 +266,8 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
 
     Raises ScopeError for trivial, free, or non-split actions.
     """
-    inv = invariants(lat)
-    cls = classify(lat)
+    inv = lat.analysis.invariants
+    cls = lat.analysis.action_class
     if cls is not ActionClass.MIXED_SPLIT:
         raise ScopeError(
             f"Kunneth assembly applies to the split mixed class only, got {cls.value} "
@@ -486,7 +463,7 @@ def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
     split mixed class goes through the certified Kunneth assembly; the
     non-split class is reported with rational ranks only.
     """
-    cls = classify(lat)
+    cls = lat.analysis.action_class
     if cls is ActionClass.TRIVIAL:
         report = _trivial_case(lat.n)
         deloc = k_ranks_delocalized(lat)
@@ -504,17 +481,16 @@ def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
     return k_ranks_delocalized(lat)
 
 
-def group_cstar_k(lat: InvolutiveLattice) -> KRankReport:
-    """K-theory of the reduced C*-algebra of Z^n x| Z/2.
-
-    The equivariant K-homology of the proper classifying space is the
-    degree-preserving dual of the cohomology computed by
-    :func:`integral_k_theory`.  When the torsion-freeness certificate
-    is present the dual of each degree is free of the same rank; for
-    the rational-only class the same numbers are reported as rational
-    ranks.
-    """
-    return integral_k_theory(lat)
+def structure_report(lat: InvolutiveLattice) -> dict:
+    """The JSON-ready structure header shared by every lattice report."""
+    analysis = lat.analysis
+    return {
+        "spec_version": SPEC_VERSION,
+        "input": {"n": lat.n, "matrix": lat.matrix.to_rows()},
+        "invariants": analysis.invariants.as_dict(),
+        "class": analysis.action_class.value,
+        "fixed_set": {"dim": analysis.fixed_dim, "components": analysis.fixed_components},
+    }
 
 
 def build_report(lat: InvolutiveLattice, kind: str = "torus") -> dict:
@@ -522,23 +498,21 @@ def build_report(lat: InvolutiveLattice, kind: str = "torus") -> dict:
 
     ``kind`` selects the equivariant torus theory ("torus") or the
     group C*-algebra K-theory ("cstar"); the numeric content is dual.
+
+    For "cstar", the equivariant K-homology of the proper classifying
+    space is the degree-preserving dual of the cohomology computed by
+    :func:`integral_k_theory`.  When the torsion-freeness certificate
+    is present the dual of each degree is free of the same rank; for
+    the rational-only class the same numbers are reported as rational
+    ranks.
     """
     if kind not in ("torus", "cstar"):
         raise ValueError(f"unknown report kind {kind!r}")
-    inv = invariants(lat)
-    cls = classify(lat)
-    desc = fixed_set(lat)
-    report = integral_k_theory(lat) if kind == "torus" else group_cstar_k(lat)
-    out: dict[str, Any] = {
-        "spec_version": SPEC_VERSION,
-        "theory": "equivariant-torus" if kind == "torus" else "group-cstar",
-        "input": {"n": lat.n, "matrix": lat.matrix.to_rows()},
-        "invariants": inv.as_dict(),
-        "class": cls.value,
-        "fixed_set": {"dim": desc.dim, "components": desc.components},
-        "ranks": {"k0": report.k0, "k1": report.k1},
-        "scope_flag": report.scope_flag.value,
-    }
+    report = integral_k_theory(lat)
+    out = structure_report(lat)
+    out["theory"] = "equivariant-torus" if kind == "torus" else "group-cstar"
+    out["ranks"] = {"k0": report.k0, "k1": report.k1}
+    out["scope_flag"] = report.scope_flag.value
     if report.module_structure is not None:
         out["module_structure"] = {
             "k0": report.module_structure[0].as_dict(),

@@ -19,7 +19,6 @@ from crystalk.toruskt import (
     cohomology_invariants,
     collect_torsion_flags,
     fixed_set,
-    group_cstar_k,
     hexagon_rank_sum,
     integral_k_theory,
     k_ranks_delocalized,
@@ -66,9 +65,9 @@ def corpus(n: int, count: int) -> oracle.Corpus:
 def test_criterion_1_free_case():
     with criterion(1, 1.0, "free case: C*-algebra ranks (3*2^(n-1), 0) for n = 1..10"):
         for n in range(1, 11):
-            report = group_cstar_k(validate_involution(minus_identity(n)))
-            assert report.ranks == (3 * 2 ** (n - 1), 0), n
-            assert report.scope_flag is ScopeFlag.INTEGRAL_CERTIFIED
+            report = build_report(validate_involution(minus_identity(n)), "cstar")
+            assert report["ranks"] == {"k0": 3 * 2 ** (n - 1), "k1": 0}, n
+            assert report["scope_flag"] == ScopeFlag.INTEGRAL_CERTIFIED.value
 
 
 def test_criterion_2_split_mixed_case():
@@ -88,9 +87,9 @@ def test_criterion_2_split_mixed_case():
 
 def test_criterion_3_infinite_dihedral():
     with criterion(3, 1.0, "infinite dihedral: K0 = Z^3, K1 = 0"):
-        report = group_cstar_k(validate_involution(IntMatrix.from_rows([[-1]])))
-        assert report.ranks == (3, 0)
-        assert report.scope_flag is ScopeFlag.INTEGRAL_CERTIFIED
+        report = build_report(validate_involution(IntMatrix.from_rows([[-1]])), "cstar")
+        assert report["ranks"] == {"k0": 3, "k1": 0}
+        assert report["scope_flag"] == ScopeFlag.INTEGRAL_CERTIFIED.value
 
 
 def test_criterion_4_route_agreement_on_corpora():

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from crystalk.cli import CATALOG, main
+from crystalk.lattice import validate_involution
+from crystalk.toruskt import build_report
 
 PM = {"n": 2, "matrix": [[1, 0], [0, -1]]}
 SWAP = {"n": 2, "matrix": [[0, 1], [1, 0]]}
@@ -60,6 +62,23 @@ class TestClassify:
         doc = {"n": 3, "matrix": [[1, 0], [0, 1]]}
         assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("doc", [{"n": 1, "matrix": [[True]]}, {"n": True, "matrix": [[1]]}])
+    def test_boolean_exits_2(self, tmp_path, capsys, doc):
+        assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+        assert "got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", {"n": 2}])
+    def test_wrong_shape_names_expected_shape(self, tmp_path, capsys, doc):
+        assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+        assert '{"n": int, "matrix": [[int, ...], ...]}' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+    def test_json_is_the_report_header(self, capsys, entry):
+        code, doc = run_json(capsys, ["classify", "--catalog", entry.name, "--format", "json"])
+        assert code == 0
+        report = build_report(validate_involution(entry.matrix))
+        assert doc == {key: report[key] for key in doc}
+
 
 class TestRanks:
     def test_both_routes_agree(self, tmp_path, capsys):
@@ -79,6 +98,10 @@ class TestRanks:
         )
         assert code == 0
         assert doc["ranks"] == {"k0": 12, "k1": 0}
+
+    def test_both_routes_take_two_smith_forms(self, capsys, snf_calls):
+        assert main(["ranks", "--catalog", "pm-sheared", "--route", "both"]) == 0
+        assert len(snf_calls) == 2
 
     def test_kunneth_out_of_scope_exits_5(self, tmp_path, capsys):
         code = main(["ranks", "--input", write_input(tmp_path, SWAP), "--route", "kunneth"])
@@ -121,6 +144,19 @@ class TestCstar:
         assert len(lines) == 1
         rec = json.loads(lines[0])
         assert rec["invariants"] == {"a": 1, "b": 1, "c": 0}
+
+    def test_corrupt_cache_line_is_skipped(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["cstar", "--catalog", "pm-type", "--cache", str(cache), "--format", "json"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        cache.write_text("{truncated\n" + cache.read_text())
+        before = cache.read_bytes()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == doc
+        assert "skipped 1 unreadable line" in captured.err
+        assert cache.read_bytes() == before
 
 
 class TestFormats:

@@ -12,6 +12,7 @@ from crystalk.intlin import (
 from crystalk.lattice import (
     ActionClass,
     Block,
+    LatticeAnalysis,
     StructureInvariants,
     canonical_matrix,
     classify,
@@ -76,6 +77,18 @@ class TestInvariants:
         m = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert invariants(validate_involution(m)) == tate_invariants(m)
         assert invariants(validate_involution(m)) == StructureInvariants(1, 0, 1)
+
+    def test_analysis_is_cached_outside_equality(self):
+        rows = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+        first, second = lat(rows), lat(rows)
+        assert first.analysis is first.analysis
+        assert first.analysis == LatticeAnalysis(
+            StructureInvariants(0, 1, 1),
+            ActionClass.MIXED_NONSPLIT,
+            fixed_dim=1,
+            fixed_components=2,
+        )
+        assert first == second and hash(first) == hash(second)
 
 
 class TestClassify:

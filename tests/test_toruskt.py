@@ -14,12 +14,10 @@ from crystalk.toruskt import (
     cohomology_invariants,
     collect_torsion_flags,
     fixed_set,
-    group_cstar_k,
     hexagon_rank_sum,
     integral_k_theory,
     k_ranks_delocalized,
     kunneth_assembly,
-    twisted_point_coefficient_ranks,
     twisted_ranks,
 )
 
@@ -88,9 +86,6 @@ class TestCohomologyInvariants:
 
 
 class TestTwistedRanks:
-    def test_point_coefficients(self):
-        assert twisted_point_coefficient_ranks() == (1, 0)
-
     def test_infinite_dihedral(self):
         assert twisted_ranks(MINUS_1) == (3, 0)
 
@@ -231,26 +226,26 @@ class TestIntegralKTheory:
 
 class TestGroupCstarK:
     def test_point_reflection_of_torus(self):
-        report = group_cstar_k(lat([[-1, 0], [0, -1]]))
-        assert report.ranks == (6, 0)
+        report = build_report(lat([[-1, 0], [0, -1]]), "cstar")
+        assert report["ranks"] == {"k0": 6, "k1": 0}
 
     def test_split_reflection(self):
-        assert group_cstar_k(PM).ranks == (3, 3)
+        assert build_report(PM, "cstar")["ranks"] == {"k0": 3, "k1": 3}
 
     def test_trivial_actions(self):
         for n in (1, 2, 4):
-            report = group_cstar_k(lat([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
-            assert report.ranks == (2**n, 2**n)
+            l = lat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            assert build_report(l, "cstar")["ranks"] == {"k0": 2**n, "k1": 2**n}
 
     def test_duality_preserves_certified_ranks(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus.members:
                 l = validate_involution(member.matrix)
                 torus = integral_k_theory(l)
-                cstar = group_cstar_k(l)
+                cstar = build_report(l, "cstar")
                 if torus.torsion_free_certificate is not None:
-                    assert cstar.ranks == torus.ranks
-                    assert cstar.scope_flag is torus.scope_flag
+                    assert cstar["ranks"] == {"k0": torus.k0, "k1": torus.k1}
+                    assert cstar["scope_flag"] == torus.scope_flag.value
 
 
 class TestReports:
@@ -287,6 +282,21 @@ class TestReports:
         assert "module_structure" in build_report(MINUS_1)
         assert "module_structure" not in build_report(PM)
         assert "module_structure" not in build_report(SWAP)
+
+    @pytest.mark.parametrize("kind", ["torus", "cstar"])
+    @pytest.mark.parametrize(
+        "rows, cls",
+        [
+            ([[1, 0], [0, 1]], ActionClass.TRIVIAL),
+            ([[-1, 0], [0, -1]], ActionClass.FREE_OUTSIDE_ORIGIN),
+            ([[1, 0], [2, -1]], ActionClass.MIXED_SPLIT),
+            ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], ActionClass.MIXED_NONSPLIT),
+        ],
+    )
+    def test_two_smith_forms_per_report(self, rows, cls, kind, snf_calls):
+        report = build_report(lat(rows), kind=kind)
+        assert report["class"] == cls.value
+        assert len(snf_calls) == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
