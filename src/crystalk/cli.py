@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import oracle
+from . import __version__, oracle
 from .errors import (
     GridTooLargeError,
     InternalInvariantError,
@@ -25,12 +25,13 @@ from .errors import (
 )
 from .intlin import IntMatrix
 from .lattice import ActionClass, validate_involution
+from .repring import load_tables, table_checksum
 from .toruskt import (
     SPEC_VERSION,
-    ScopeFlag,
     build_report,
     cohomology_invariants,
     hexagon_rank_sum,
+    integral_k_theory,
     k_ranks_delocalized,
     kunneth_assembly,
     structure_report,
@@ -232,7 +233,15 @@ def cmd_cstar(args: argparse.Namespace) -> int:
     if args.cache:
         inv = lat.analysis.invariants.as_dict()
         matrix_hash = _matrix_hash(lat.matrix)
-        key_doc = {"command": "cstar", "n": lat.n, "invariants": inv, "matrix": matrix_hash}
+        key_doc = {
+            "command": "cstar",
+            "n": lat.n,
+            "invariants": inv,
+            "matrix": matrix_hash,
+            "spec_version": SPEC_VERSION,
+            "tables_sha256": table_checksum(load_tables()),
+            "version": __version__,
+        }
         cache_key = hashlib.sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()
         cached = _cache_lookup(args.cache, cache_key)
         if cached is not None:
@@ -312,13 +321,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks["invariants"] = inv == member.invariants
         checks["tate"] = oracle.tate_invariants(member.matrix) == member.invariants
         deloc = k_ranks_delocalized(lat)
+        report = integral_k_theory(lat)
         key = (inv.a, inv.b, inv.c)
         expected = canonical_ranks.setdefault(key, deloc.ranks)
         checks["conjugation"] = deloc.ranks == expected
         checks["hexagon"] = hexagon_rank_sum(lat) == 0
         cls = analysis.action_class
         if cls is ActionClass.MIXED_SPLIT:
-            checks["routes"] = kunneth_assembly(lat).ranks == deloc.ranks
+            checks["routes"] = report.ranks == deloc.ranks
         if run_exterior:
             checks["exterior"] = oracle.exterior_action_invariants(
                 member.matrix
@@ -332,16 +342,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = all(checks.values())
         if not ok:
             failures += 1
-        scope = (
-            ScopeFlag.RATIONAL_ONLY
-            if cls is ActionClass.MIXED_NONSPLIT
-            else ScopeFlag.INTEGRAL_CERTIFIED
-        )
         rows.append(
             {
                 "invariants": inv.as_dict(),
                 "class": cls.value,
-                "scope_flag": scope.value,
+                "scope_flag": report.scope_flag.value,
                 "ranks": {"k0": deloc.k0, "k1": deloc.k1},
                 "checks": checks,
                 "ok": ok,

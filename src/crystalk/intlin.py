@@ -228,10 +228,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
 
-    k = min(nr, nc)
-    t = 0
-    while t < k:
-        # minimal-absolute-value pivot in the trailing submatrix
+    def pivot_to(t: int) -> bool:
+        """Move the first minimal-absolute-value entry of the trailing
+        block to (t, t), scanning row by row; False if the block is zero."""
         best = None
         for i in range(t, nr):
             row = d[i]
@@ -240,11 +239,18 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 if a and (best is None or abs(a) < best[0]):
                     best = (abs(a), i, j)
         if best is None:
-            break
+            return False
         if best[1] != t:
             swap_rows(t, best[1])
         if best[2] != t:
             swap_cols(t, best[2])
+        return True
+
+    k = min(nr, nc)
+    t = 0
+    while t < k:
+        if not pivot_to(t):
+            break
         while True:
             p = d[t][t]
             clear = True
@@ -263,19 +269,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     if d[t][j]:
                         clear = False
             if not clear:
-                # a remainder strictly smaller than the pivot appeared
-                best = None
-                for i in range(t, nr):
-                    row = d[i]
-                    for j in range(t, nc):
-                        a = row[j]
-                        if a and (best is None or abs(a) < best[0]):
-                            best = (abs(a), i, j)
-                assert best is not None
-                if best[1] != t:
-                    swap_rows(t, best[1])
-                if best[2] != t:
-                    swap_cols(t, best[2])
+                # a nonzero remainder strictly smaller than the pivot appeared
+                pivot_to(t)
                 continue
             offender = None
             for i in range(t + 1, nr):

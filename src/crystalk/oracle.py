@@ -4,7 +4,7 @@ Every quantity the main pipeline derives from Smith normal form is
 recomputed here by a different method at desk scale:
 
 * the cohomology action, from the explicit signed action on the full
-  exterior-algebra basis (exact rank computations, no trace identity);
+  exterior-algebra basis (exact rank computations, no eigenvalue count);
 * fixed-set component counts, from enumeration of rational torus
   points clustered by an exact same-component certificate;
 * the module-arithmetic tables, from explicit free resolutions over
@@ -26,10 +26,10 @@ import numpy as np
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
+    _unimodular_with_inverse,
     express_in_basis,
     inv_unimodular,
     kernel_basis,
-    random_unimodular,
     smith_normal_form,
 )
 from .lattice import (
@@ -38,7 +38,7 @@ from .lattice import (
     invariants,
     validate_involution,
 )
-from .repring import CLASS_ORDER, table_checksum
+from .repring import _SITE_KINDS, CLASS_ORDER, table_checksum
 from .toruskt import SPEC_VERSION, CohomologyAction
 
 __all__ = [
@@ -164,32 +164,34 @@ def _exterior_images(a: IntMatrix) -> list[list[dict[tuple[int, ...], int]]]:
     return images
 
 
-def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
-    """Matrix of the k-th exterior power of A on the combination basis."""
+def _images_matrix(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> IntMatrix:
+    """Matrix whose columns are the degree-k images, on the combination basis."""
     from itertools import combinations
 
+    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    rows = [[0] * len(images) for _ in images]
+    for col, img in enumerate(images):
+        for t, cf in img.items():
+            rows[index[t]][col] = cf
+    return IntMatrix.from_rows(rows)
+
+
+def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
+    """Matrix of the k-th exterior power of A on the combination basis."""
     if not a.is_square:
         raise ValueError("square matrix required")
     n = a.rows
     if not 0 <= k <= n:
         raise ValueError("degree out of range")
-    combos = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(combos)}
-    images = _exterior_images(a)[k]
-    dim = len(combos)
-    rows = [[0] * dim for _ in range(dim)]
-    for col, img in enumerate(images):
-        for t, cf in img.items():
-            rows[index[t]][col] = cf
-    return IntMatrix.from_rows(rows) if dim else IntMatrix(0, 0, ())
+    return _images_matrix(_exterior_images(a)[k], n, k)
 
 
 def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
     """Invariant/anti-invariant cohomology dimensions by explicit solve.
 
-    Builds the full exterior action and computes exact kernel
+    Builds the full exterior action once and computes exact kernel
     dimensions of (M - I) and (M + I) per degree.  Independent of the
-    trace-polynomial route.
+    eigenvalue-count route.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
@@ -198,9 +200,10 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
         raise DimensionTooLargeError(
             f"exterior verifier bounded at n <= {EXTERIOR_MAX_DIM}, got {n}"
         )
+    images = _exterior_images(a)
     even_inv = odd_inv = even_anti = odd_anti = 0
     for k in range(n + 1):
-        m = exterior_power_matrix(a, k)
+        m = _images_matrix(images[k], n, k)
         dim = m.rows
         ident = IntMatrix.identity(dim)
         inv_dim = dim - rank_exact(m - ident)
@@ -572,9 +575,6 @@ def _one_minus_t_cell(name: str) -> dict:
     return cell
 
 
-_SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")
-
-
 def regenerate_tables() -> dict:
     """Recompute the full module-arithmetic tables from resolutions.
 
@@ -697,10 +697,10 @@ def involution_corpus(
         for i in range(count):
             mat = None
             for attempt in range(64):
-                p = random_unimodular(
-                    n, _derive_seed(seed, n, a, b, c, i, attempt), steps, cap=cap
+                p, p_inv = _unimodular_with_inverse(
+                    n, _derive_seed(seed, n, a, b, c, i, attempt), steps, cap
                 )
-                cand = p @ canon @ inv_unimodular(p)
+                cand = p @ canon @ p_inv
                 if cand.max_abs() <= max_entry:
                     mat = cand
                     break

@@ -3,7 +3,7 @@
 For an involution A on Z^n acting on the n-torus, this module computes
 
 * the fixed set (a disjoint union of affine subtori),
-* the action on torus cohomology through exterior-power traces,
+* the action on torus cohomology from the eigenvalue counts of A,
 * equivariant K-theory ranks by the delocalized fixed-point formula,
 * the same ranks a second time through the Kunneth/localization
   assembly with a replayable torsion-freeness certificate, and
@@ -16,12 +16,10 @@ them against each other where both apply.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import InternalInvariantError, ScopeError
-from .intlin import exterior_trace_poly
 from .lattice import ActionClass, InvolutiveLattice
 from .repring import (
     DYADIC,
@@ -138,29 +136,29 @@ def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
     return FixedSetDescription(dim=analysis.fixed_dim, components=analysis.fixed_components)
 
 
+def _exterior_even_odd(m: int) -> tuple[int, int]:
+    """(even, odd) total dimensions of the exterior algebra on Q^m."""
+    return (2 ** (m - 1), 2 ** (m - 1)) if m else (1, 0)
+
+
 def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     """Invariant/anti-invariant dimensions of H*(T^n) under the involution.
 
-    In degree k the action is the k-th exterior power of A, an
-    involution on a space of dimension C(n, k), so the invariant part
-    has dimension (C(n, k) + trace) / 2.
+    Over Q the involution splits as V+ + V- with p = (n + tr A)/2 and
+    q = n - p; tr A is read off the diagonal, not from the lattice
+    analysis.  H*(T^n) = Lambda(V+) (x) Lambda(V-) and A acts on
+    Lambda^i(V+) (x) Lambda^j(V-) by (-1)^j, so each dimension is a
+    product of the even/odd parts of the two exterior algebras.
     """
     n = lat.n
-    traces = exterior_trace_poly(lat.matrix)
-    even_inv = odd_inv = even_anti = odd_anti = 0
-    for k in range(n + 1):
-        total = math.comb(n, k)
-        tr = traces[k]
-        if (total + tr) % 2:
-            raise InternalInvariantError("exterior trace parity violated")
-        inv_dim = (total + tr) // 2
-        anti_dim = total - inv_dim
-        if k % 2 == 0:
-            even_inv += inv_dim
-            even_anti += anti_dim
-        else:
-            odd_inv += inv_dim
-            odd_anti += anti_dim
+    trace = sum(lat.matrix.entry(i, i) for i in range(n))
+    p, odd = divmod(n + trace, 2)
+    if odd or not 0 <= p <= n:
+        raise InternalInvariantError(f"trace {trace} is not that of an involution on Z^{n}")
+    even_p, odd_p = _exterior_even_odd(p)
+    even_q, odd_q = _exterior_even_odd(n - p)
+    even_inv, odd_inv = even_p * even_q, odd_p * even_q
+    even_anti, odd_anti = odd_p * odd_q, even_p * odd_q
     half = 2 ** (n - 1)
     if even_inv + even_anti != half or odd_inv + odd_anti != half:
         raise InternalInvariantError("cohomology dimensions do not sum to 2^(n-1)")

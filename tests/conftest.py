@@ -23,17 +23,28 @@ def small_corpora():
 
 
 @pytest.fixture
-def snf_calls(monkeypatch):
+def count_calls(monkeypatch):
+    """count_calls(func) is a list that grows by one entry per call of
+    ``func`` through any crystalk module that binds it."""
+
+    def install(func):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return func(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("crystalk") and vars(mod).get(func.__name__) is func:
+                monkeypatch.setattr(mod, func.__name__, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def snf_calls(count_calls):
     """A list that grows by one entry per Smith normal form computed."""
     from crystalk.intlin import smith_normal_form
 
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return smith_normal_form(m)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("crystalk") and vars(mod).get("smith_normal_form") is smith_normal_form:
-            monkeypatch.setattr(mod, "smith_normal_form", counting)
-    return calls
+    return count_calls(smith_normal_form)

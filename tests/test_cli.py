@@ -158,6 +158,26 @@ class TestCstar:
         assert "skipped 1 unreadable line" in captured.err
         assert cache.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("SPEC_VERSION", "0.9"),
+            ("__version__", "0.0.1"),
+            ("table_checksum", lambda tables: "0" * 64),
+        ],
+    )
+    def test_record_from_other_code_is_a_miss(self, tmp_path, capsys, monkeypatch, name, value):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["cstar", "--catalog", "pm-type", "--cache", str(cache), "--format", "json"]
+        with monkeypatch.context() as patch:
+            patch.setattr(f"crystalk.cli.{name}", value)
+            assert main(argv) == 0
+        capsys.readouterr()
+        before = cache.read_bytes()
+        assert main(argv) == 0
+        after = cache.read_bytes()
+        assert after.startswith(before) and after.count(b"\n") == 2
+
 
 class TestFormats:
     def test_text_and_json_agree_numerically(self, tmp_path, capsys):

@@ -68,6 +68,14 @@ class TestExteriorAction:
         m = mat([[1, 2], [0, -1]])
         assert exterior_power_matrix(m, 1) == m
 
+    def test_builds_exterior_images_once(self, count_calls):
+        from crystalk import oracle
+
+        calls = count_calls(oracle._exterior_images)
+        m = canonical_matrix(1, 2, 1)
+        exterior_action_invariants(m)
+        assert calls == [(m,)]
+
     def test_agrees_with_trace_route(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus.members:
@@ -175,6 +183,10 @@ class TestCorpus:
     def test_json_roundtrip(self):
         corpus = involution_corpus(2, seed=5, count=2)
         assert corpus_from_json(corpus_to_json(corpus)) == corpus
+
+    def test_uses_no_smith_forms(self, snf_calls):
+        involution_corpus(4, seed=9, count=2)
+        assert snf_calls == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from crystalk.errors import ScopeError
-from crystalk.intlin import IntMatrix, inv_unimodular, random_unimodular
+from crystalk.intlin import IntMatrix, exterior_trace_poly, inv_unimodular, random_unimodular
 from crystalk.lattice import ActionClass, canonical_matrix, classify, validate_involution
+from crystalk.oracle import involution_corpus
 from crystalk.repring import RModuleSum
 from crystalk.toruskt import (
     CohomologyAction,
@@ -37,6 +39,26 @@ MINUS_1 = lat([[-1]])
 PLUS_1 = lat([[1]])
 SWAP = lat([[0, 1], [1, 0]])
 PM = split_lat(2, 1)
+
+# one small lattice per action class
+CLASS_CASES = [
+    ([[1, 0], [0, 1]], ActionClass.TRIVIAL),
+    ([[-1, 0], [0, -1]], ActionClass.FREE_OUTSIDE_ORIGIN),
+    ([[1, 0], [2, -1]], ActionClass.MIXED_SPLIT),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], ActionClass.MIXED_NONSPLIT),
+]
+
+
+def trace_route(matrix):
+    """The cohomology action from the traces of every exterior power of A."""
+    n = matrix.rows
+    dims = [0, 0, 0, 0]  # even_inv, odd_inv, even_anti, odd_anti
+    for k, tr in enumerate(exterior_trace_poly(matrix)):
+        total = math.comb(n, k)
+        assert (total + tr) % 2 == 0
+        dims[k % 2] += (total + tr) // 2
+        dims[2 + k % 2] += (total - tr) // 2
+    return CohomologyAction(*dims)
 
 
 class TestFixedSet:
@@ -83,6 +105,12 @@ class TestCohomologyInvariants:
                 act = cohomology_invariants(validate_involution(member.matrix))
                 assert act.even_inv + act.even_anti == 2 ** (n - 1)
                 assert act.odd_inv + act.odd_anti == 2 ** (n - 1)
+
+    def test_matches_exterior_traces_beyond_oracle_bound(self):
+        for n in range(9, 17):
+            for member in involution_corpus(n, seed=n, count=1).members:
+                lattice = validate_involution(member.matrix)
+                assert cohomology_invariants(lattice) == trace_route(member.matrix), n
 
 
 class TestTwistedRanks:
@@ -284,19 +312,25 @@ class TestReports:
         assert "module_structure" not in build_report(SWAP)
 
     @pytest.mark.parametrize("kind", ["torus", "cstar"])
-    @pytest.mark.parametrize(
-        "rows, cls",
-        [
-            ([[1, 0], [0, 1]], ActionClass.TRIVIAL),
-            ([[-1, 0], [0, -1]], ActionClass.FREE_OUTSIDE_ORIGIN),
-            ([[1, 0], [2, -1]], ActionClass.MIXED_SPLIT),
-            ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], ActionClass.MIXED_NONSPLIT),
-        ],
-    )
+    @pytest.mark.parametrize("rows, cls", CLASS_CASES)
     def test_two_smith_forms_per_report(self, rows, cls, kind, snf_calls):
         report = build_report(lat(rows), kind=kind)
         assert report["class"] == cls.value
         assert len(snf_calls) == 2
+
+    @pytest.mark.parametrize("kind", ["torus", "cstar"])
+    @pytest.mark.parametrize("rows, cls", CLASS_CASES)
+    def test_no_matrix_products_per_report(self, rows, cls, kind, count_calls, monkeypatch):
+        lattice = lat(rows)  # validation squares A; the report must not multiply
+        traces = count_calls(exterior_trace_poly)
+        products = []
+        matmul = IntMatrix.__matmul__
+        monkeypatch.setattr(
+            IntMatrix, "__matmul__", lambda x, y: products.append(y) or matmul(x, y)
+        )
+        report = build_report(lattice, kind=kind)
+        assert report["class"] == cls.value
+        assert (len(products), len(traces)) == (0, 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
