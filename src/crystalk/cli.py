@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -159,9 +160,16 @@ def _cache_lookup(path: str, key: str) -> dict | None:
 
 
 def _cache_append(path: str, key: str, meta: dict, report: dict) -> None:
+    """Append one record in a single write, so concurrent writers cannot interleave."""
     rec = {"key": key, **meta, "report": report}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, line)
+    finally:
+        os.close(fd)
+    if written != len(line):
+        raise OSError(f"short write to cache {path}: {written} of {len(line)} bytes")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:

@@ -177,13 +177,6 @@ class CokernelShape:
     free_rank: int
     torsion: tuple[int, ...]
 
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for t in self.torsion:
-            order *= t
-        return order
-
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices.
@@ -298,7 +291,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(d),
+        D=IntMatrix(nr, nc, tuple(x for row in d for x in row)),
         V=IntMatrix.from_rows(v),
         divisors=divisors,
     )

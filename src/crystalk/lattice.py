@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
-    express_in_basis,
     inv_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -106,15 +106,15 @@ def validate_involution(a: IntMatrix) -> InvolutiveLattice:
     """
     if not a.is_square or a.rows == 0:
         raise NotSquareError(f"need a square matrix of positive size, got {a.rows}x{a.cols}")
-    square = a @ a
-    n = a.rows
-    for i in range(n):
-        for j in range(n):
-            expected = 1 if i == j else 0
-            got = square.entry(i, j)
+    rows = a.to_rows()
+    cols = list(zip(*rows))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            expected = int(i == j)
+            got = sum(map(operator.mul, row, col))
             if got != expected:
                 raise NotInvolutionError(i, j, got, expected)
-    return InvolutiveLattice(n=n, matrix=a)
+    return InvolutiveLattice(n=a.rows, matrix=a)
 
 
 def invariants(lat: InvolutiveLattice) -> StructureInvariants:

@@ -21,8 +21,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
@@ -233,25 +231,6 @@ class FixedGridResult:
     count_double: int
 
 
-def _grid_chunks(n: int, d: int, chunk: int = 1 << 18):
-    total = d**n
-    powers = (d ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        yield (idx[:, None] // powers) % d
-        start = stop
-
-
-def _count_fixed(m: np.ndarray, n: int, d: int) -> int:
-    count = 0
-    for v in _grid_chunks(n, d):
-        prod = v @ m.T
-        count += int(((prod % d) == 0).all(axis=1).sum())
-    return count
-
-
 def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     """Fixed-set component count from rational grid enumeration.
 
@@ -262,9 +241,16 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     space membership.  The dimension is estimated from the growth of
     the fixed-point count between grids d and 2d.
 
+    Both grids come from one pass over w in {0..2d-1}^n with residues
+    r = (A - I)w mod 4d: w is fixed on the 2d grid when r = 0 mod 2d,
+    and at the even points w = 2v (the d grid) the certificate bits
+    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.
+
     ``d`` must be even so that every component (an affine translate by
     a half-integer vector) meets the grid.
     """
+    import numpy as np
+
     if not a.is_square:
         raise ValueError("square matrix required")
     n = a.rows
@@ -277,7 +263,7 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     m_int = a - IntMatrix.identity(n)
     if m_int.max_abs() * d * n >= 2**62:
         raise GridTooLargeError("entries too large for exact 64-bit enumeration")
-    m = np.array(m_int.to_rows(), dtype=np.int64)
+    rows = m_int.to_rows()
 
     # column space of (A - I) mod 2, as bitmasks
     basis = _gf2_basis(
@@ -287,17 +273,30 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
         ]
     )
 
+    half, mod = 2 * d, 4 * d
+    # a sum of n residues below 4d never wraps in this dtype
+    dtype = np.min_scalar_type(n * (mod - 1))
+    evens = (slice(None, None, 2),) * n
+    # even-length runs of first coordinates, about 2^18 points each, bound memory
+    step = max(2, (1 << 18) // half ** (n - 1) // 2 * 2)
+    rest = [np.arange(half, dtype=np.int64) for _ in range(n - 1)]
     labels: set[int] = set()
-    count = 0
-    bit_weights = (1 << np.arange(n)).astype(np.int64)
-    for v in _grid_chunks(n, d):
-        prod = v @ m.T
-        mask = ((prod % d) == 0).all(axis=1)
-        if not mask.any():
-            continue
-        count += int(mask.sum())
-        mv = prod[mask] // d
-        bits = ((mv % 2) * bit_weights).sum(axis=1)
+    count = count_double = 0
+    for lo in range(0, half, step):
+        grid = np.ix_(np.arange(lo, min(lo + step, half), dtype=np.int64), *rest)
+        fixed = np.ones([g.size for g in grid], dtype=bool)
+        quotient_bits = np.zeros(fixed[evens].shape, dtype=np.int64)
+        for i, row in enumerate(rows):
+            # a zero coefficient leaves r constant along its axis
+            r = np.zeros((1,) * n, dtype=dtype)
+            for c, g in zip(row, grid):
+                if c % mod:
+                    r = r + (c % mod * g % mod).astype(dtype)
+            fixed &= r % half == 0
+            quotient_bits |= (r[evens] // half & 1).astype(np.int64) << i
+        count += int(np.count_nonzero(fixed[evens]))
+        count_double += int(np.count_nonzero(fixed))
+        bits = quotient_bits[fixed[evens]]
         for b in basis:
             p = b.bit_length() - 1
             hit = ((bits >> p) & 1).astype(bool)
@@ -306,7 +305,6 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     if count == 0:
         raise InternalInvariantError("origin is always a fixed point")
 
-    count_double = _count_fixed(m, n, 2 * d)
     ratio, rem = divmod(count_double, count)
     if rem or ratio & (ratio - 1):
         raise InternalInvariantError(

@@ -1,7 +1,13 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crystalk
 from crystalk.cli import CATALOG, main
 from crystalk.lattice import validate_involution
 from crystalk.toruskt import build_report
@@ -158,6 +164,38 @@ class TestCstar:
         assert "skipped 1 unreadable line" in captured.err
         assert cache.read_bytes() == before
 
+    def test_record_is_one_append_write(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        writes = []
+        real_write = os.write
+
+        def recording_write(fd, data):
+            writes.append((fcntl.fcntl(fd, fcntl.F_GETFL), bytes(data)))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", recording_write)
+
+        def cstar(name):
+            writes.clear()
+            argv = ["cstar", "--catalog", name, "--cache", str(cache), "--format", "json"]
+            return run_json(capsys, argv)
+
+        code, doc = cstar("pm-type")  # miss: one record, written once
+        assert code == 0
+        [(flags, record)] = writes
+        assert flags & os.O_APPEND and flags & os.O_ACCMODE == os.O_WRONLY
+        assert record.endswith(b"\n") and record.count(b"\n") == 1
+        assert cache.read_bytes() == record
+        assert json.loads(record)["report"] == doc
+
+        assert cstar("pm-type") == (0, doc)  # hit: nothing written
+        assert writes == []
+        assert cache.read_bytes() == record
+
+        assert cstar("cm-swap")[0] == 0  # miss: the file grows by one record
+        [(_, second)] = writes
+        assert cache.read_bytes() == record + second
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -228,3 +266,24 @@ class TestCatalog:
         assert code == 0
         for name in ("infinite-dihedral", "pm-type", "cm-swap"):
             assert name in out
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import crystalk.cli",
+            "import runpy; sys.argv = ['crystalk', 'cstar', '--catalog', 'pm-type']\n"
+            "try:\n    runpy.run_module('crystalk', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code in (0, None), exc.code",
+        ],
+        ids=["import", "cstar"],
+    )
+    def test_numpy_is_not_loaded(self, code):
+        src = str(Path(crystalk.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "False"

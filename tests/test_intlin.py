@@ -70,6 +70,13 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         assert smith_normal_form(IntMatrix.zeros(2, 2)).divisors == (0, 0)
 
+    @pytest.mark.parametrize("m", [IntMatrix(0, 3, ()), IntMatrix(3, 0, ())])
+    def test_empty_shapes(self, m):
+        snf = smith_normal_form(m)
+        assert (snf.D.rows, snf.D.cols) == (m.rows, m.cols)
+        assert snf.U @ m @ snf.V == snf.D
+        assert snf.divisors == ()
+
     def test_divisor_chain_nontrivial(self):
         assert smith_normal_form(mat([[2, 0], [0, 3]])).divisors == (1, 6)
 

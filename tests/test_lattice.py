@@ -49,6 +49,33 @@ class TestValidate:
             lat([[2]])
         assert err.value.value == 4
 
+    @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+    def test_names_first_wrong_entry_in_row_major_order(self, flat):
+        m = IntMatrix(4, 4, tuple(flat))
+        square = m @ m
+        wrong = [
+            (i, j, square.entry(i, j), int(i == j))
+            for i in range(4)
+            for j in range(4)
+            if square.entry(i, j) != int(i == j)
+        ]
+        if not wrong:
+            assert validate_involution(m).matrix == m
+            return
+        with pytest.raises(NotInvolutionError) as err:
+            validate_involution(m)
+        e = err.value
+        assert (e.row, e.col, e.value, e.expected) == wrong[0]
+
+    def test_forms_no_matrix_product(self, monkeypatch):
+        def no_product(self, other):
+            raise AssertionError("validate_involution multiplied matrices")
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", no_product)
+        assert lat([[0, 1, 0], [1, 0, 0], [0, 0, -1]]).n == 3
+        with pytest.raises(NotInvolutionError):
+            lat([[1, 1], [0, 1]])
+
     def test_not_square(self):
         with pytest.raises(NotSquareError):
             validate_involution(IntMatrix.zeros(2, 3))

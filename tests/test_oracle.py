@@ -1,11 +1,19 @@
+import itertools
+
 import pytest
 
 from crystalk.errors import DimensionTooLargeError, GridTooLargeError
 from crystalk.intlin import IntMatrix, random_unimodular
-from crystalk.lattice import canonical_matrix, invariants, validate_involution
+from crystalk.lattice import (
+    StructureInvariants,
+    canonical_matrix,
+    invariants,
+    validate_involution,
+)
 from crystalk.oracle import (
     AbelianShape,
     Corpus,
+    FixedGridResult,
     corpus_from_json,
     corpus_to_json,
     exterior_action_invariants,
@@ -29,6 +37,59 @@ def mat(rows):
 
 
 SWAP = mat([[0, 1], [1, 0]])
+
+# involutions of rank <= 3, with negative and large entries that pass the
+# grid verifier's 64-bit guard at d = 6
+ENUMERATION_MATRICES = [
+    [[-1]],
+    [[1]],
+    [[0, 1], [1, 0]],
+    [[1, 0], [2, -1]],
+    [[1, 0], [-7, -1]],
+    [[-1, 0], [10**17 + 3, 1]],
+    [[1, -2 * 10**16], [0, -1]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+    [[-1, 0, 0], [1 - 10**17, 1, 0], [0, 0, -1]],
+    [[1, 0, 0], [5, -1, 0], [-3, 0, -1]],
+]
+
+
+def grid_by_enumeration(a, d):
+    """The grid verifier's answer by plain enumeration of both grids.
+
+    Two fixed points v, v' of the d grid share a component exactly when
+    ((A - I)v / d) and ((A - I)v' / d) agree mod 2 up to the column
+    space of (A - I) mod 2; each label is replaced by its whole coset.
+    """
+    n = a.rows
+    m = (a - IntMatrix.identity(n)).to_rows()
+
+    def image(v):
+        return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+    def fixed(grid):
+        points = itertools.product(range(grid), repeat=n)
+        return [v for v in points if all(x % grid == 0 for x in image(v))]
+
+    span = {
+        tuple(sum(c * x for c, x in zip(coeffs, row)) % 2 for row in m)
+        for coeffs in itertools.product((0, 1), repeat=n)
+    }
+    points = fixed(d)
+    cosets = {
+        frozenset(tuple((x // d + s) % 2 for x, s in zip(image(v), shift)) for shift in span)
+        for v in points
+    }
+    count, count_double = len(points), len(fixed(2 * d))
+    ratio = count_double // count
+    assert ratio * count == count_double and ratio & (ratio - 1) == 0
+    return FixedGridResult(
+        components=len(cosets),
+        dim_estimate=ratio.bit_length() - 1,
+        count=count,
+        count_double=count_double,
+    )
 
 
 class TestRankExact:
@@ -118,6 +179,29 @@ class TestFixedGrid:
                 grid = fixed_grid_components(member.matrix, 4)
                 assert grid.components == desc.components
                 assert grid.dim_estimate == desc.dim
+
+    @pytest.mark.parametrize(
+        "rows, d",
+        [(rows, d) for rows in ENUMERATION_MATRICES for d in (2, 4, 6)]
+        # residues of two coordinates mod 4d = 200 sum past 255
+        + [([[0, 1], [1, 0]], 50), ([[1, 0], [-7, -1]], 50)],
+    )
+    def test_grid_counts_match_pure_enumeration(self, rows, d):
+        a = mat(rows)
+        assert validate_involution(a).n == len(rows)
+        assert grid_by_enumeration(a, d) == fixed_grid_components(a, d)
+
+    def test_rank_seven_corpus_member(self):
+        # 8^7 doubled points, enumerated in several slices of the first coordinate
+        corpus = involution_corpus(7, seed=7, count=1)
+        member = next(m for m in corpus.members if m.invariants == StructureInvariants(1, 2, 2))
+        analysis = validate_involution(member.matrix).analysis
+        grid = fixed_grid_components(member.matrix, 4)
+        assert (grid.components, grid.dim_estimate) == (
+            analysis.fixed_components,
+            analysis.fixed_dim,
+        )
+        assert grid.count_double == grid.count * 2**analysis.fixed_dim
 
 
 class TestResolutionTor:
