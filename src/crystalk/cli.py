@@ -44,6 +44,10 @@ EXIT_NOT_INVOLUTION = 3
 EXIT_INVARIANT = 4
 EXIT_SCOPE = 5
 
+# validate + build_report on a conjugated input takes about 0.5 s at n = 200
+# and 1.5 s at n = 256 (2-core VM), so larger inputs are refused up front
+MAX_N = 200
+
 VERIFY_EXTERIOR_MAX_N = 8
 VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
@@ -123,6 +127,8 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
     # bool is a subclass of int but never a dimension
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the supported maximum n <= {MAX_N}")
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"matrix must have n = {n} rows")
     return IntMatrix.from_rows(rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import InternalInvariantError
@@ -25,6 +26,7 @@ __all__ = [
     "express_in_basis",
     "inv_unimodular",
     "exterior_trace_poly",
+    "first_row_off_identity_square",
     "random_unimodular",
 ]
 
@@ -362,6 +364,26 @@ def inv_unimodular(m: IntMatrix) -> IntMatrix:
     if (m @ inv) != IntMatrix.identity(m.rows):
         raise InternalInvariantError("unimodular inverse check failed")
     return inv
+
+
+def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:
+    """Index of the first row where M·M differs from I, or None if M·M = I.
+
+    Exact, by Kronecker substitution: row t of M is packed into one
+    integer P_t = sum_j M[t][j]·2^(w·j) with signed slots of width
+    w = bit_length(dim·max|M|²) + 2, so sum_t M[i][t]·P_t packs row i
+    of M·M.  Every entry of M·M - I has absolute value at most
+    dim·max|M|² + 1 < 2^(w-1), and packing is injective on such
+    entries, so the packed row equals 2^(w·i) exactly when row i of
+    M·M is the i-th unit row.
+    """
+    dim = len(rows)
+    w = (dim * max(map(abs, chain.from_iterable(rows)), default=0) ** 2).bit_length() + 2
+    packed = [sum(x << (w * j) for j, x in enumerate(r) if x) for r in rows]
+    for i, r in enumerate(rows):
+        if sum(x * p for x, p in zip(r, packed) if x) != 1 << (w * i):
+            return i
+    return None
 
 
 def exterior_trace_poly(a: IntMatrix) -> tuple[int, ...]:

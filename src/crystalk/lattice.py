@@ -19,6 +19,7 @@ from functools import cached_property
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
+    first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -107,13 +108,15 @@ def validate_involution(a: IntMatrix) -> InvolutiveLattice:
     if not a.is_square or a.rows == 0:
         raise NotSquareError(f"need a square matrix of positive size, got {a.rows}x{a.cols}")
     rows = a.to_rows()
-    cols = list(zip(*rows))
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
+    i = first_row_off_identity_square(rows)
+    if i is not None:
+        row = rows[i]
+        for j, col in enumerate(zip(*rows)):
             expected = int(i == j)
             got = sum(map(operator.mul, row, col))
             if got != expected:
                 raise NotInvolutionError(i, j, got, expected)
+        raise InternalInvariantError(f"row {i} of A*A is off the identity yet every entry matches")
     return InvolutiveLattice(n=a.rows, matrix=a)
 
 

@@ -4,7 +4,9 @@ Every quantity the main pipeline derives from Smith normal form is
 recomputed here by a different method at desk scale:
 
 * the cohomology action, from the explicit signed action on the full
-  exterior-algebra basis (exact rank computations, no eigenvalue count);
+  exterior-algebra basis (ranks of M - I and M + I read over F_3 and
+  certified exact by an integer check of M·M = I; no trace and no
+  eigenvalue count);
 * fixed-set component counts, from enumeration of rational torus
   points clustered by an exact same-component certificate;
 * the module-arithmetic tables, from explicit free resolutions over
@@ -26,6 +28,7 @@ from .intlin import (
     IntMatrix,
     _unimodular_with_inverse,
     express_in_basis,
+    first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -135,9 +138,12 @@ def _exterior_images(a: IntMatrix) -> list[list[dict[tuple[int, ...], int]]]:
     Degree k entries are aligned with itertools-combinations order of
     the index sets S.
     """
+    from bisect import bisect_left
     from itertools import combinations
 
     n = a.rows
+    # nonzero entries of each column of A, listed once
+    columns = [[(i, x) for i, x in enumerate(a.column(j)) if x] for j in range(n)]
     combos = [list(combinations(range(n), k)) for k in range(n + 1)]
     index = [{s: i for i, s in enumerate(combos[k])} for k in range(n + 1)]
     images: list[list[dict[tuple[int, ...], int]]] = [[{(): 1}]]
@@ -147,14 +153,12 @@ def _exterior_images(a: IntMatrix) -> list[list[dict[tuple[int, ...], int]]]:
             prefix, last = s[:-1], s[-1]
             acc: dict[tuple[int, ...], int] = {}
             for t, cf in images[k - 1][index[k - 1][prefix]].items():
-                for i in range(n):
-                    av = a.entry(i, last)
-                    if not av or i in t:
+                size = len(t)
+                for i, av in columns[last]:
+                    pos = bisect_left(t, i)
+                    if pos < size and t[pos] == i:
                         continue
-                    pos = 0
-                    while pos < len(t) and t[pos] < i:
-                        pos += 1
-                    sign = -1 if (len(t) - pos) % 2 else 1
+                    sign = -1 if (size - pos) % 2 else 1
                     new_t = t[:pos] + (i,) + t[pos:]
                     acc[new_t] = acc.get(new_t, 0) + sign * cf * av
             level.append({t: c for t, c in acc.items() if c})
@@ -184,12 +188,78 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     return _images_matrix(_exterior_images(a)[k], n, k)
 
 
+def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Sum of two F_3 vectors, each held as (positions of 1, positions of 2)."""
+    t = (u[0] | v[1]) ^ (u[1] | v[0])
+    return (u[1] | v[1]) ^ t, (u[0] | v[0]) ^ t
+
+
+def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
+    table: dict[int, tuple[int, int]] = {}
+    for v in rows:
+        while v[0] | v[1]:
+            p = (v[0] | v[1]).bit_length() - 1
+            pivot = table.get(p)
+            if pivot is None:
+                # stored with a 1 at its leading position
+                table[p] = v if v[0] >> p & 1 else (v[1], v[0])
+                break
+            # subtract the pivot where v holds 1, add it where v holds 2
+            v = _f3_add(v, (pivot[1], pivot[0]) if v[0] >> p & 1 else pivot)
+    return len(table)
+
+
+def _degree_ranks(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> tuple[int, int]:
+    """Ranks over Q of M - I and M + I, for M = Λ^k(A) given by its column images.
+
+    No rational elimination runs.  First one exact integer check of
+    M·M = I: over Q it holds exactly when rank(M - I) + rank(M + I) =
+    dim, so its failure is the not-semisimple error.  Then both ranks
+    are read over F_3, and they are exact: a rank over F_p never
+    exceeds the rank over Q (a minor nonzero mod p is nonzero), and for
+    odd p the reduction of M·M = I splits F_p^dim into the ±1
+    eigenspaces, so the F_p ranks sum to dim just as the Q ranks do.
+    Both steps work on the transpose, whose rows are the columns at
+    hand; (M^T)² = I exactly when M² = I, and transposing keeps ranks.
+    """
+    from itertools import combinations
+
+    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    dim = len(images)
+    rows = [[0] * dim for _ in images]
+    masks = []
+    for j, img in enumerate(images):
+        row = rows[j]
+        ones = twos = 0
+        for t, cf in img.items():
+            i = index[t]
+            row[i] = cf
+            residue = cf % 3
+            if residue == 1:
+                ones |= 1 << i
+            elif residue == 2:
+                twos |= 1 << i
+        masks.append((ones, twos))
+    if first_row_off_identity_square(rows) is not None:
+        raise InternalInvariantError("exterior action is not semisimple over Q")
+    minus = _f3_rank(_f3_add(v, (0, 1 << j)) for j, v in enumerate(masks))
+    plus = _f3_rank(_f3_add(v, (1 << j, 0)) for j, v in enumerate(masks))
+    if minus + plus != dim:
+        raise InternalInvariantError(
+            f"F_3 ranks {minus} + {plus} of M -+ I miss dim {dim} although M*M = I"
+        )
+    return minus, plus
+
+
 def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
     """Invariant/anti-invariant cohomology dimensions by explicit solve.
 
-    Builds the full exterior action once and computes exact kernel
-    dimensions of (M - I) and (M + I) per degree.  Independent of the
-    eigenvalue-count route.
+    Builds the full exterior action once and, per degree, the exact
+    kernel dimensions of M - I and M + I for M = Λ^k(A), certified by
+    an exact integer check of M·M = I and read over F_3 (see
+    ``_degree_ranks``).  Independent of the eigenvalue-count route: no
+    trace and no eigenvalue count enters.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
@@ -201,13 +271,9 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
     images = _exterior_images(a)
     even_inv = odd_inv = even_anti = odd_anti = 0
     for k in range(n + 1):
-        m = _images_matrix(images[k], n, k)
-        dim = m.rows
-        ident = IntMatrix.identity(dim)
-        inv_dim = dim - rank_exact(m - ident)
-        anti_dim = dim - rank_exact(m + ident)
-        if inv_dim + anti_dim != dim:
-            raise InternalInvariantError("exterior action is not semisimple over Q")
+        dim = len(images[k])
+        minus, plus = _degree_ranks(images[k], n, k)
+        inv_dim, anti_dim = dim - minus, dim - plus
         if k % 2 == 0:
             even_inv += inv_dim
             even_anti += anti_dim
@@ -244,7 +310,9 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     Both grids come from one pass over w in {0..2d-1}^n with residues
     r = (A - I)w mod 4d: w is fixed on the 2d grid when r = 0 mod 2d,
     and at the even points w = 2v (the d grid) the certificate bits
-    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.
+    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.  The coefficients of
+    A - I are reduced mod 4d as Python integers before numpy sees them,
+    so entries of any size are enumerated exactly.
 
     ``d`` must be even so that every component (an affine translate by
     a half-integer vector) meets the grid.
@@ -261,8 +329,6 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     if (2 * d) ** n > GRID_SWEEP_BOUND:
         raise GridTooLargeError("doubled grid for the dimension estimate is too large")
     m_int = a - IntMatrix.identity(n)
-    if m_int.max_abs() * d * n >= 2**62:
-        raise GridTooLargeError("entries too large for exact 64-bit enumeration")
     rows = m_int.to_rows()
 
     # column space of (A - I) mod 2, as bitmasks

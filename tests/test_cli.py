@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import crystalk
-from crystalk.cli import CATALOG, main
+from crystalk.cli import CATALOG, MAX_N, main
 from crystalk.lattice import validate_involution
 from crystalk.toruskt import build_report
 
@@ -67,6 +67,23 @@ class TestClassify:
     def test_row_count_mismatch_exits_2(self, tmp_path, capsys):
         doc = {"n": 3, "matrix": [[1, 0], [0, 1]]}
         assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+
+    def test_n_above_cap_exits_2_before_reading_rows(self, tmp_path, capsys, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("rows read above the size cap")
+
+        monkeypatch.setattr(crystalk.cli.IntMatrix, "from_rows", no_matrix)
+        doc = {"n": MAX_N + 1, "matrix": [[1]]}
+        assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"n = {MAX_N + 1} exceeds the supported maximum n <= {MAX_N}" in err
+
+    def test_n_at_cap_is_accepted(self, tmp_path, capsys):
+        doc = {"n": MAX_N, "matrix": [[int(i == j) for j in range(MAX_N)] for i in range(MAX_N)]}
+        path = write_input(tmp_path, doc)
+        code, out = run_json(capsys, ["classify", "--input", path, "--format", "json"])
+        assert code == 0
+        assert out["invariants"] == {"a": MAX_N, "b": 0, "c": 0}
 
     @pytest.mark.parametrize("doc", [{"n": 1, "matrix": [[True]]}, {"n": True, "matrix": [[1]]}])
     def test_boolean_exits_2(self, tmp_path, capsys, doc):

@@ -4,9 +4,11 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError
 from crystalk.intlin import (
     IntMatrix,
+    _unimodular_with_inverse,
     cokernel,
     exterior_trace_poly,
     express_in_basis,
+    first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
     random_unimodular,
@@ -210,3 +212,82 @@ class TestExpressAndInverse:
         basis = mat([[1], [0]])
         with pytest.raises(ValueError):
             express_in_basis(basis, mat([[0], [1]]))
+
+
+def first_row_off_identity_by_dot_products(m):
+    square = m @ m
+    for i in range(m.rows):
+        if any(square.entry(i, j) != int(i == j) for j in range(m.cols)):
+            return i
+    return None
+
+
+def shear(n, c):
+    """I + c·E_01, whose inverse is shear(n, -c)."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[0][1] = c
+    return mat(rows)
+
+
+@st.composite
+def near_involutions(draw):
+    """P·D·P^-1 for a signed diagonal D, sometimes with one entry moved.
+
+    P is a seeded unimodular matrix, optionally times a shear with a
+    huge entry, so both exact involutions and their near misses carry
+    entries far beyond 64 bits.
+    """
+    n = draw(st.integers(1, 5))
+    p, p_inv = _unimodular_with_inverse(n, draw(st.integers(0, 2**32 - 1)), 3 * n + 2, 9)
+    if n > 1:
+        c = draw(st.sampled_from([1, 2**40 + 1, -(2**70)]))
+        p = p @ shear(n, c)
+        p_inv = shear(n, -c) @ p_inv
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    diag = mat([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    rows = (p @ diag @ p_inv).to_rows()
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(st.sampled_from([1, -1, 3, 2**64, -(2**70)]))
+    return mat(rows)
+
+
+# dim·max² = (2^k - 1)·4^j sits just below a power of two
+below_power_of_two = st.tuples(st.sampled_from([1, 3, 7]), st.integers(0, 40)).flatmap(
+    lambda dm: st.lists(
+        st.lists(st.sampled_from([-(2 ** dm[1]), 0, 2 ** dm[1]]), min_size=dm[0], max_size=dm[0]),
+        min_size=dm[0],
+        max_size=dm[0],
+    )
+)
+
+wide_entries = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**62, -(2**63), 2**64 - 1]),
+)
+
+
+class TestSquareIsIdentity:
+    @given(
+        st.one_of(
+            near_involutions(),
+            below_power_of_two.map(mat),
+            st.integers(1, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(wide_entries, min_size=n, max_size=n), min_size=n, max_size=n
+                )
+            ).map(mat),
+        )
+    )
+    def test_matches_dot_products(self, m):
+        got = first_row_off_identity_square(m.to_rows())
+        assert got == first_row_off_identity_by_dot_products(m)
+
+    def test_involutions_and_first_bad_row(self):
+        assert first_row_off_identity_square([]) is None
+        assert first_row_off_identity_square([[0, 1], [1, 0]]) is None
+        assert first_row_off_identity_square([[1, 0], [2**70 + 1, -1]]) is None
+        assert first_row_off_identity_square([[1, 0], [0, 1 + 3**40]]) == 1
+        # row 0 of A·A is (1, 0) but row 1 is not
+        assert first_row_off_identity_square([[1, 0], [1, 1]]) == 1

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from crystalk.errors import DimensionTooLargeError, GridTooLargeError
+from crystalk import oracle
+from crystalk.errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from crystalk.intlin import IntMatrix, random_unimodular
 from crystalk.lattice import (
     StructureInvariants,
@@ -38,8 +39,8 @@ def mat(rows):
 
 SWAP = mat([[0, 1], [1, 0]])
 
-# involutions of rank <= 3, with negative and large entries that pass the
-# grid verifier's 64-bit guard at d = 6
+# involutions of rank <= 3, with negative entries and entries beyond 64 bits,
+# which the grid verifier reduces mod 4d before numpy sees them
 ENUMERATION_MATRICES = [
     [[-1]],
     [[1]],
@@ -48,9 +49,12 @@ ENUMERATION_MATRICES = [
     [[1, 0], [-7, -1]],
     [[-1, 0], [10**17 + 3, 1]],
     [[1, -2 * 10**16], [0, -1]],
+    [[-1, 0], [2**70 + 1, 1]],
+    [[1, -(2**70) - 1], [0, -1]],
     [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
     [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
     [[-1, 0, 0], [1 - 10**17, 1, 0], [0, 0, -1]],
+    [[-1, 0, 0], [0, 1, 0], [2**70 + 1, 0, 1]],
     [[1, 0, 0], [5, -1, 0], [-3, 0, -1]],
 ]
 
@@ -130,12 +134,62 @@ class TestExteriorAction:
         assert exterior_power_matrix(m, 1) == m
 
     def test_builds_exterior_images_once(self, count_calls):
-        from crystalk import oracle
-
         calls = count_calls(oracle._exterior_images)
         m = canonical_matrix(1, 2, 1)
         exterior_action_invariants(m)
         assert calls == [(m,)]
+
+    def test_f3_ranks_match_rank_exact(self):
+        for n in range(1, 9):
+            for member in involution_corpus(n, seed=3, count=1).members:
+                images = oracle._exterior_images(member.matrix)
+                for k in range(n + 1):
+                    m = oracle._images_matrix(images[k], n, k)
+                    ident = IntMatrix.identity(m.rows)
+                    assert oracle._degree_ranks(images[k], n, k) == (
+                        rank_exact(m - ident),
+                        rank_exact(m + ident),
+                    )
+
+    def test_makes_no_rank_exact_call(self, count_calls):
+        calls = count_calls(rank_exact)
+        member = involution_corpus(4, seed=3, count=1).members[5]
+        assert exterior_action_invariants(member.matrix) == cohomology_invariants(
+            validate_involution(member.matrix)
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 3], [0, 1]],  # unipotent, and I mod 3
+            [[1, 0, 0], [0, 1, 3], [0, 0, 1]],
+            [[-1, 0], [0, 4]],  # an involution mod 3
+            [[0, -1], [1, -1]],  # order 3
+            [[0, -1], [1, 0]],  # order 4
+        ],
+    )
+    def test_rejects_non_involutions(self, rows):
+        message = "^exterior action is not semisimple over Q$"
+        with pytest.raises(InternalInvariantError, match=message):
+            exterior_action_invariants(mat(rows))
+
+    def test_mod_three_ranks_alone_would_accept_a_unipotent(self):
+        # A = [[1, 3], [0, 1]]: over F_3, A - I = 0 and A + I = 2I have ranks
+        # summing to 2, but over Q rank(A - I) = 1; only the integer check of
+        # A·A = I refuses it (test_rejects_non_involutions)
+        def f3_rows(rows):
+            return [
+                (
+                    sum(1 << j for j, x in enumerate(r) if x % 3 == 1),
+                    sum(1 << j for j, x in enumerate(r) if x % 3 == 2),
+                )
+                for r in rows
+            ]
+
+        minus, plus = [[0, 3], [0, 0]], [[2, 3], [0, 2]]
+        assert oracle._f3_rank(f3_rows(minus)) + oracle._f3_rank(f3_rows(plus)) == 2
+        assert rank_exact(mat(minus)) + rank_exact(mat(plus)) == 3
 
     def test_agrees_with_trace_route(self, small_corpora):
         for corpus in small_corpora.values():
