@@ -44,9 +44,11 @@ EXIT_NOT_INVOLUTION = 3
 EXIT_INVARIANT = 4
 EXIT_SCOPE = 5
 
-# validate + build_report on a conjugated input takes about 0.5 s at n = 200
-# and 1.5 s at n = 256 (2-core VM), so larger inputs are refused up front
-MAX_N = 200
+# json.loads + from_rows + validate + build_report takes about 0.43 s at
+# n = 400 on a dense conjugated involution (entries up to about 500) and
+# 0.63 s at n = 450; a sparse conjugate (entries <= 4) takes 76 ms at n = 400
+# (2-core VM), so larger inputs are refused before the rows are converted
+MAX_N = 400
 
 VERIFY_EXTERIOR_MAX_N = 8
 VERIFY_GRID_MAX_N = 6

@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Smith normal form with transformation matrices, integer kernels and
-cokernels, exterior-power trace polynomials, and seeded unimodular
-matrix generation.  Every operation works on arbitrary-precision
-Python integers; nothing in this module touches floating point.
+cokernels, ranks over F_2 and F_3 on bitmask rows, exterior-power trace
+polynomials, and seeded unimodular matrix generation.  Every operation
+works on arbitrary-precision Python integers; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
 
@@ -384,6 +385,76 @@ def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:
         if sum(x * p for x, p in zip(r, packed) if x) != 1 << (w * i):
             return i
     return None
+
+
+# ---------------------------------------------------------------------------
+# ranks over F_2 and F_3 on bitmask rows
+
+
+def _gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Echelon basis (as bitmasks) of the span of the given bitmasks."""
+    table: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = v.bit_length() - 1
+            if p in table:
+                v ^= table[p]
+            else:
+                table[p] = v
+                break
+    return [table[p] for p in sorted(table, reverse=True)]
+
+
+def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Sum of two F_3 vectors, each held as (positions of 1, positions of 2)."""
+    t = (u[0] | v[1]) ^ (u[1] | v[0])
+    return (u[1] | v[1]) ^ t, (u[0] | v[0]) ^ t
+
+
+def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
+    table: dict[int, tuple[int, int]] = {}
+    for ones, twos in rows:
+        while ones | twos:
+            p = (ones | twos).bit_length() - 1
+            pivot = table.get(p)
+            if pivot is None:
+                # stored with a 1 at its leading position
+                table[p] = (ones, twos) if ones >> p & 1 else (twos, ones)
+                break
+            # subtract the pivot where v holds 1, add it where v holds 2;
+            # the sum is _f3_add written out, as this loop is the hot path
+            q1, q2 = (pivot[1], pivot[0]) if ones >> p & 1 else pivot
+            t = (ones | q2) ^ (twos | q1)
+            ones, twos = (twos | q2) ^ t, (ones | q1) ^ t
+    return len(table)
+
+
+# x % 6 fixes x mod 2 and x mod 3; each table turns a residue into an ASCII bit
+_ODD = bytes.maketrans(bytes(range(6)), b"010101")
+_ONE_MOD_3 = bytes.maketrans(bytes(range(6)), b"010010")
+_TWO_MOD_3 = bytes.maketrans(bytes(range(6)), b"001001")
+
+
+def _residue_masks(m: IntMatrix) -> list[tuple[int, int, int]]:
+    """Per row of m, the bitmasks of its entries that are odd, 1 mod 3 and 2 mod 3.
+
+    Bit j stands for column j.  One pass reduces every entry mod 6;
+    the masks are then read off as binary numerals, row reversed.
+    """
+    c = m.cols
+    residues = bytes(map(operator.mod, m.entries, repeat(6)))
+    out = []
+    for i in range(m.rows):
+        row = residues[i * c : (i + 1) * c][::-1] or b"0"
+        out.append(
+            (
+                int(row.translate(_ODD), 2),
+                int(row.translate(_ONE_MOD_3), 2),
+                int(row.translate(_TWO_MOD_3), 2),
+            )
+        )
+    return out
 
 
 def exterior_trace_poly(a: IntMatrix) -> tuple[int, ...]:

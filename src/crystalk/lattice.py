@@ -11,7 +11,6 @@ of basis to the canonical block-diagonal form.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +18,10 @@ from functools import cached_property
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
+    _f3_add,
+    _f3_rank,
+    _gf2_basis,
+    _residue_masks,
     first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
@@ -81,7 +84,7 @@ class ActionClass(enum.Enum):
 
 @dataclass(frozen=True)
 class LatticeAnalysis:
-    """Everything the Smith forms of A - I and A + I say about the lattice.
+    """Structure of the lattice, read off the ranks of A - I over F_2 and F_3.
 
     (a, b, c) fix the lattice up to isomorphism (Reiner 1957); the
     fixed subtorus has dimension a + c and 2^b components.
@@ -131,46 +134,55 @@ def classify(lat: InvolutiveLattice) -> ActionClass:
 
 
 def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
-    """Analysis of a validated involution from the Smith forms of A - I and A + I.
+    """Analysis of a validated involution from ranks over F_2 and F_3.
 
-    The torsion of coker(A - I) is (Z/2)^b and the torsion of
-    coker(A + I) is (Z/2)^a; the fixed-sublattice rank is a + c, and
-    the torsion order of coker(A - I) counts the fixed components.
+    Precondition: A·A = I exactly.  This function is reached only
+    through :attr:`InvolutiveLattice.analysis`, and
+    :func:`validate_involution`, the only constructor of a lattice,
+    has checked it.
+
+    Write r2 = rank_F2(A - I) and r3 = rank_F3(A - I).  Given A·A = I:
+
+    * coker(A - I) has torsion killed by 2: if kx = (A - I)z then
+      (A + I)x = 0, so 2x = -(A - I)x.  Its invariant factors thus lie
+      in {0, 1, 2}, and the number of units among them is r2.  On the
+      canonical form, Triv gives 0, Sign gives 2 and Reg gives 1 and 0,
+      so c = r2 and b is the number of factors 2.
+    * Over F_3, A·A = I splits F_3^n into the +1 and -1 eigenspaces,
+      so rank_F3(A - I) + rank_F3(A + I) = n, as over Q.  A rank over
+      F_p never exceeds the rank over Q (a minor nonzero mod p is
+      nonzero), so both F_3 ranks equal the Q ranks and
+      r3 = rank_Q(A - I) = b + c.
+
+    Hence c = r2, b = r3 - r2, a = n - r3 - r2, the fixed subtorus has
+    dimension n - r3 = a + c, and its components are the 2^b elements
+    of the torsion of coker(A - I).  rank_F3(A + I) is computed as well,
+    and the complement identity is checked as a guard.
     """
     n = a_mat.rows
-    ident = IntMatrix.identity(n)
-    minus = smith_normal_form(a_mat - ident)
-    plus = smith_normal_form(a_mat + ident)
-    for d in (*minus.divisors, *plus.divisors):
-        if d not in (0, 1, 2):
-            raise InternalInvariantError(f"unexpected invariant factor {d} for an involution")
-    b = sum(1 for d in minus.divisors if d == 2)
-    a = sum(1 for d in plus.divisors if d == 2)
-    fixed_dim = sum(1 for d in minus.divisors if d == 0)
-    c = fixed_dim - a
-    inv = StructureInvariants(a=a, b=b, c=c)
-    if inv.a + inv.b + 2 * inv.c != n or c < 0:
-        raise InternalInvariantError(f"inconsistent invariants {inv} for n={n}")
-    anti_rank = sum(1 for d in plus.divisors if d == 0)
-    if anti_rank != b + c:
-        raise InternalInvariantError("kernel ranks of A-I and A+I do not complement")
-    components = math.prod(d for d in minus.divisors if d >= 2)
-    if components != 2**b:
-        raise InternalInvariantError(f"component count {components} disagrees with 2^b = {2**b}")
-    if fixed_dim != inv.fixed_rank:
-        raise InternalInvariantError("fixed dimension disagrees with a + c")
+    masks = _residue_masks(a_mat)
+    r2 = len(_gf2_basis(odd ^ 1 << i for i, (odd, _, _) in enumerate(masks)))
+    # subtracting I adds 2 on the diagonal, adding I adds 1
+    r3 = _f3_rank(_f3_add(v[1:], (0, 1 << i)) for i, v in enumerate(masks))
+    r3_plus = _f3_rank(_f3_add(v[1:], (1 << i, 0)) for i, v in enumerate(masks))
+    if r3 + r3_plus != n:
+        raise InternalInvariantError(
+            f"F_3 ranks {r3} + {r3_plus} of A -+ I do not complement to n = {n}"
+        )
+    inv = StructureInvariants(a=n - r3 - r2, b=r3 - r2, c=r2)
 
-    if c >= 1:
+    if inv.c >= 1:
         cls = ActionClass.MIXED_NONSPLIT
-    elif a == n:
+    elif inv.a == n:
         cls = ActionClass.TRIVIAL
-    elif b == n:
-        if a_mat != -ident:
+    elif inv.b == n:
+        minus_identity = tuple(-1 if i == j else 0 for i in range(n) for j in range(n))
+        if a_mat.entries != minus_identity:
             raise InternalInvariantError("sign-only invariants but A != -I")
         cls = ActionClass.FREE_OUTSIDE_ORIGIN
     else:
         cls = ActionClass.MIXED_SPLIT
-    return LatticeAnalysis(inv, cls, fixed_dim, components)
+    return LatticeAnalysis(inv, cls, fixed_dim=n - r3, fixed_components=2**inv.b)
 
 
 def canonical_matrix(a: int, b: int, c: int) -> IntMatrix:

@@ -1,7 +1,7 @@
 """Independent brute-force verifiers.
 
-Every quantity the main pipeline derives from Smith normal form is
-recomputed here by a different method at desk scale:
+Every quantity the main pipeline derives is recomputed here by a
+different method at desk scale:
 
 * the cohomology action, from the explicit signed action on the full
   exterior-algebra basis (ranks of M - I and M + I read over F_3 and
@@ -12,7 +12,8 @@ recomputed here by a different method at desk scale:
 * the module-arithmetic tables, from explicit free resolutions over
   Z[t]/(t^2 - 1) realized as integer matrices, homology via Smith
   normal form;
-* structure invariants, from the mod-2 quotients that define them;
+* structure invariants, from the mod-2 quotients that define them, on
+  integer kernel bases from Smith normal form;
 * seeded corpora of conjugated involutions for property sweeps.
 """
 
@@ -21,11 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
+    _f3_add,
+    _f3_rank,
+    _gf2_basis,
+    _residue_masks,
     _unimodular_with_inverse,
     express_in_basis,
     first_row_off_identity_square,
@@ -68,7 +72,7 @@ GRID_SWEEP_BOUND = 16_777_216
 
 
 # ---------------------------------------------------------------------------
-# exact rank and GF(2) helpers
+# exact rank over Q, and rank over F_2 of integer rows
 
 
 def rank_exact(m: IntMatrix) -> int:
@@ -103,29 +107,8 @@ def rank_exact(m: IntMatrix) -> int:
     return rank
 
 
-def _gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """Echelon basis (as bitmasks) of the span of the given bitmasks."""
-    table: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            p = v.bit_length() - 1
-            if p in table:
-                v ^= table[p]
-            else:
-                table[p] = v
-                break
-    return [table[p] for p in sorted(table, reverse=True)]
-
-
 def _gf2_rank_rows(m: IntMatrix) -> int:
-    masks = []
-    for row in m.to_rows():
-        bits = 0
-        for j, x in enumerate(row):
-            if x % 2:
-                bits |= 1 << j
-        masks.append(bits)
-    return len(_gf2_basis(masks))
+    return len(_gf2_basis(odd for odd, _, _ in _residue_masks(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +169,6 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     if not 0 <= k <= n:
         raise ValueError("degree out of range")
     return _images_matrix(_exterior_images(a)[k], n, k)
-
-
-def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Sum of two F_3 vectors, each held as (positions of 1, positions of 2)."""
-    t = (u[0] | v[1]) ^ (u[1] | v[0])
-    return (u[1] | v[1]) ^ t, (u[0] | v[0]) ^ t
-
-
-def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
-    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
-    table: dict[int, tuple[int, int]] = {}
-    for v in rows:
-        while v[0] | v[1]:
-            p = (v[0] | v[1]).bit_length() - 1
-            pivot = table.get(p)
-            if pivot is None:
-                # stored with a 1 at its leading position
-                table[p] = v if v[0] >> p & 1 else (v[1], v[0])
-                break
-            # subtract the pivot where v holds 1, add it where v holds 2
-            v = _f3_add(v, (pivot[1], pivot[0]) if v[0] >> p & 1 else pivot)
-    return len(table)
 
 
 def _degree_ranks(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> tuple[int, int]:

@@ -126,11 +126,11 @@ class KRankReport:
 
 
 def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
-    """Dimension and component count of the fixed subtorus.
+    """Dimension a + c and component count 2^b of the fixed subtorus.
 
-    The component count is the torsion order of coker(A - I); the
-    lattice analysis checks it against 2^b and the dimension against
-    a + c.
+    Both come from the lattice analysis, which reads them off the ranks
+    of A - I over F_2 and F_3; the components are the elements of the
+    torsion (Z/2)^b of coker(A - I).
     """
     analysis = lat.analysis
     return FixedSetDescription(dim=analysis.fixed_dim, components=analysis.fixed_components)

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import crystalk
 from crystalk.cli import CATALOG, MAX_N, main
-from crystalk.lattice import validate_involution
+from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.toruskt import build_report
 
 PM = {"n": 2, "matrix": [[1, 0], [0, -1]]}
@@ -21,6 +22,23 @@ def write_input(tmp_path, doc, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def sheared_canonical(a, b, c, shears, seed):
+    """canonical_matrix(a, b, c) conjugated by seeded elementary shears.
+
+    Conjugating by E = I + s·e_i e_j^T is the row operation row_i += s·row_j
+    followed by the inverse column operation col_j -= s·col_i, O(n) each.
+    """
+    rows = canonical_matrix(a, b, c).to_rows()
+    rng = random.Random(seed)
+    for _ in range(shears):
+        i, j = rng.sample(range(len(rows)), 2)
+        s = rng.choice((-1, 1))
+        rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] -= s * row[i]
+    return rows
 
 
 def run_json(capsys, argv):
@@ -122,9 +140,9 @@ class TestRanks:
         assert code == 0
         assert doc["ranks"] == {"k0": 12, "k1": 0}
 
-    def test_both_routes_take_two_smith_forms(self, capsys, snf_calls):
+    def test_both_routes_take_no_smith_form(self, capsys, snf_calls):
         assert main(["ranks", "--catalog", "pm-sheared", "--route", "both"]) == 0
-        assert len(snf_calls) == 2
+        assert snf_calls == []
 
     def test_kunneth_out_of_scope_exits_5(self, tmp_path, capsys):
         code = main(["ranks", "--input", write_input(tmp_path, SWAP), "--route", "kunneth"])
@@ -149,6 +167,18 @@ class TestCstar:
         assert doc["ranks"] == {"k0": 2, "k1": 2}
         assert doc["scope_flag"] == "RationalOnly"
         assert any("closed form" in note for note in doc["notes"])
+
+    def test_sheared_involution_at_the_size_cap(self, tmp_path, capsys):
+        a = c = MAX_N // 4
+        b = MAX_N - a - 2 * c
+        rows = sheared_canonical(a, b, c, shears=12, seed=MAX_N)
+        assert any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
+        path = write_input(tmp_path, {"n": MAX_N, "matrix": rows})
+        code, doc = run_json(capsys, ["cstar", "--input", path, "--format", "json"])
+        assert code == 0
+        assert doc["invariants"] == {"a": a, "b": b, "c": c}
+        assert doc["class"] == "MixedNonSplit"
+        assert doc["fixed_set"] == {"dim": a + c, "components": 2**b}
 
     def test_unknown_catalog_name_exits_2(self, capsys):
         assert main(["cstar", "--catalog", "no-such-entry"]) == 2

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalk.errors import NotInvolutionError, NotSquareError
+from crystalk.errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from crystalk.intlin import (
     IntMatrix,
     cokernel,
@@ -14,13 +14,14 @@ from crystalk.lattice import (
     Block,
     LatticeAnalysis,
     StructureInvariants,
+    _analyse,
     canonical_matrix,
     classify,
     decompose,
     invariants,
     validate_involution,
 )
-from crystalk.oracle import structure_classes, tate_invariants
+from crystalk.oracle import involution_corpus, structure_classes, tate_invariants
 
 
 def mat(rows):
@@ -222,3 +223,19 @@ class TestConjugationProperties:
         conj = p @ canonical_matrix(a, b, c) @ inv_unimodular(p)
         assert invariants(validate_involution(conj)) == StructureInvariants(a, b, c)
         assert tate_invariants(conj) == StructureInvariants(a, b, c)
+
+
+class TestAnalysisRoutes:
+    def test_ranks_agree_with_corpus_and_tate_route(self):
+        for n in range(1, 13):
+            for member in involution_corpus(n, seed=11, count=1).members:
+                analysis = validate_involution(member.matrix).analysis
+                inv = member.invariants
+                assert analysis.invariants == inv == tate_invariants(member.matrix)
+                assert analysis.fixed_components == 2**inv.b
+                assert analysis.fixed_dim == inv.a + inv.c
+
+    def test_non_involution_fails_the_f3_complement_check(self):
+        # [[1, 1], [0, 1]] is unipotent: rank_F3(A - I) + rank_F3(A + I) = 1 + 2
+        with pytest.raises(InternalInvariantError, match=r"do not complement to n = 2$"):
+            _analyse(mat([[1, 1], [0, 1]]))
