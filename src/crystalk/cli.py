@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import __version__, oracle
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .intlin import IntMatrix
 from .lattice import ActionClass, validate_involution
-from .repring import load_tables, table_checksum
+from .repring import _load_table_bytes, load_tables, table_checksum
 from .toruskt import (
     SPEC_VERSION,
     build_report,
@@ -44,11 +45,17 @@ EXIT_NOT_INVOLUTION = 3
 EXIT_INVARIANT = 4
 EXIT_SCOPE = 5
 
-# json.loads + from_rows + validate + build_report takes about 0.43 s at
+# json.loads + row checks + validate + build_report takes about 0.43 s at
 # n = 400 on a dense conjugated involution (entries up to about 500) and
 # 0.63 s at n = 450; a sparse conjugate (entries <= 4) takes 76 ms at n = 400
 # (2-core VM), so larger inputs are refused before the rows are converted
 MAX_N = 400
+# validation packs each row into one integer with slots twice as wide as the
+# widest entry, so one huge entry makes every row costly: at n = 400 one
+# 4000-digit entry took 28 s and 537 MiB to validate.  Dense n = 400
+# involutions take about 0.45 / 0.8 / 1.7 s end to end at 16 / 33 / 63-bit
+# entries (2-core VM), so wider entries are refused before validation
+MAX_ENTRY_BITS = 64
 
 VERIFY_EXTERIOR_MAX_N = 8
 VERIFY_GRID_MAX_N = 6
@@ -133,7 +140,24 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
         raise ValueError(f"n = {n} exceeds the supported maximum n <= {MAX_N}")
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"matrix must have n = {n} rows")
-    return IntMatrix.from_rows(rows)
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != n:
+            got = f"{len(row)} entries" if type(row) is list else f"{row!r:.40}"
+            raise ValueError(f"matrix row {i} must be a list of n = {n} integers, got {got}")
+        # bool is a subclass of int but never an entry; the scan below only
+        # runs to name the entry at fault
+        if set(map(type, row)) != {int} or max(map(abs, row)).bit_length() > MAX_ENTRY_BITS:
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError(
+                        f"matrix entry [{i}][{j}] must be an integer, got {x!r:.40}"
+                    )
+                if x.bit_length() > MAX_ENTRY_BITS:
+                    raise ValueError(
+                        f"matrix entry [{i}][{j}] has {x.bit_length()} bits, "
+                        f"over the cap of {MAX_ENTRY_BITS} bits"
+                    )
+    return IntMatrix(n, n, tuple(chain.from_iterable(rows)))
 
 
 def _matrix_hash(m: IntMatrix) -> str:
@@ -324,7 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     corpus = oracle.involution_corpus(n, args.seed, args.count)
-    tables_ok = oracle.render_table_file_bytes() == _packaged_table_bytes()
+    tables_ok = oracle.render_table_file_bytes() == _load_table_bytes()
 
     rows = []
     failures = 0
@@ -404,12 +428,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if payload["failures"]:
         raise InternalInvariantError(f"{payload['failures']} verifier mismatches")
     return EXIT_OK
-
-
-def _packaged_table_bytes() -> bytes:
-    from .repring import _load_table_bytes
-
-    return _load_table_bytes()
 
 
 def build_parser() -> argparse.ArgumentParser:

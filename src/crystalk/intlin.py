@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
-Smith normal form with transformation matrices, integer kernels and
-cokernels, ranks over F_2 and F_3 on bitmask rows, exterior-power trace
-polynomials, and seeded unimodular matrix generation.  Every operation
-works on arbitrary-precision Python integers; nothing in this module
-touches floating point.
+Smith normal form with transformation matrices, integer kernels,
+an exact check of M·M = I, ranks over F_2 and F_3 on bitmask rows
+(including the ranks of M - I and M + I of an involution over F_3),
+exterior-power trace polynomials, and seeded unimodular matrices with
+their inverses.  Every operation works on arbitrary-precision Python
+integers; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from .errors import InternalInvariantError
 
 __all__ = [
     "IntMatrix",
-    "SmithDecomposition",
-    "CokernelShape",
     "smith_normal_form",
     "kernel_basis",
-    "cokernel",
     "express_in_basis",
     "inv_unimodular",
     "exterior_trace_poly",
@@ -173,14 +171,6 @@ class SmithDecomposition:
     divisors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CokernelShape:
-    """Z^rows / M Z^cols as free rank plus invariant-factor torsion."""
-
-    free_rank: int
-    torsion: tuple[int, ...]
-
-
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices.
 
@@ -316,14 +306,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(m.cols, len(idx), entries)
 
 
-def cokernel(m: IntMatrix) -> CokernelShape:
-    """Shape of Z^rows / (column span of m), read off the divisors."""
-    snf = smith_normal_form(m)
-    nonzero = sum(1 for x in snf.divisors if x)
-    torsion = tuple(x for x in snf.divisors if x >= 2)
-    return CokernelShape(free_rank=m.rows - nonzero, torsion=torsion)
-
-
 def express_in_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Solve basis @ X = vectors for integer X.
 
@@ -430,6 +412,24 @@ def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
     return len(table)
 
 
+def _f3_eigenranks(masks: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Ranks over F_3 of M - I and M + I, for M given by its rows over F_3.
+
+    Each row is held as (positions of 1, positions of 2).  For an
+    involution the F_3 eigenspaces of +1 and -1 split the space, so the
+    two ranks complement to the dimension; anything else raises.
+    """
+    dim = len(masks)
+    # subtracting I adds 2 on the diagonal, adding I adds 1
+    minus = _f3_rank(_f3_add(v, (0, 1 << i)) for i, v in enumerate(masks))
+    plus = _f3_rank(_f3_add(v, (1 << i, 0)) for i, v in enumerate(masks))
+    if minus + plus != dim:
+        raise InternalInvariantError(
+            f"F_3 ranks {minus} + {plus} of M -+ I do not complement to n = {dim}"
+        )
+    return minus, plus
+
+
 # x % 6 fixes x mod 2 and x mod 3; each table turns a residue into an ASCII bit
 _ODD = bytes.maketrans(bytes(range(6)), b"010101")
 _ONE_MOD_3 = bytes.maketrans(bytes(range(6)), b"010010")
@@ -489,29 +489,18 @@ def exterior_trace_poly(a: IntMatrix) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-DEFAULT_ENTRY_CAP = 32
-
-
-def random_unimodular(n: int, seed: int, steps: int, cap: int = DEFAULT_ENTRY_CAP) -> IntMatrix:
-    """Deterministic pseudo-random unimodular matrix with |det| = 1.
+def random_unimodular(n: int, seed: int, steps: int, cap: int = 32) -> tuple[IntMatrix, IntMatrix]:
+    """Deterministic pseudo-random unimodular matrix P with its exact inverse.
 
     Applies ``steps`` seeded elementary column operations to the
-    identity, skipping any operation that would push an entry of the
-    matrix or of its tracked inverse beyond ``cap``.
+    identity, skipping any operation that would push an entry of P or
+    of its tracked inverse beyond ``cap``.  Returns (P, P^-1).
 
-    >>> random_unimodular(2, seed=5, steps=0) == IntMatrix.identity(2)
+    >>> random_unimodular(2, seed=5, steps=0)[0] == IntMatrix.identity(2)
     True
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    p, _ = _unimodular_with_inverse(n, seed, steps, cap)
-    return p
-
-
-def _unimodular_with_inverse(
-    n: int, seed: int, steps: int, cap: int
-) -> tuple[IntMatrix, IntMatrix]:
-    """As random_unimodular, but also returns the exact inverse."""
     rng = random.Random(seed)
     p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     pinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -18,8 +18,7 @@ from functools import cached_property
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
-    _f3_add,
-    _f3_rank,
+    _f3_eigenranks,
     _gf2_basis,
     _residue_masks,
     first_row_off_identity_square,
@@ -162,13 +161,7 @@ def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
     n = a_mat.rows
     masks = _residue_masks(a_mat)
     r2 = len(_gf2_basis(odd ^ 1 << i for i, (odd, _, _) in enumerate(masks)))
-    # subtracting I adds 2 on the diagonal, adding I adds 1
-    r3 = _f3_rank(_f3_add(v[1:], (0, 1 << i)) for i, v in enumerate(masks))
-    r3_plus = _f3_rank(_f3_add(v[1:], (1 << i, 0)) for i, v in enumerate(masks))
-    if r3 + r3_plus != n:
-        raise InternalInvariantError(
-            f"F_3 ranks {r3} + {r3_plus} of A -+ I do not complement to n = {n}"
-        )
+    r3, _ = _f3_eigenranks([v[1:] for v in masks])
     inv = StructureInvariants(a=n - r3 - r2, b=r3 - r2, c=r2)
 
     if inv.c >= 1:

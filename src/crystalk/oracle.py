@@ -4,17 +4,19 @@ Every quantity the main pipeline derives is recomputed here by a
 different method at desk scale:
 
 * the cohomology action, from the explicit signed action on the full
-  exterior-algebra basis (ranks of M - I and M + I read over F_3 and
-  certified exact by an integer check of M·M = I; no trace and no
-  eigenvalue count);
+  exterior-algebra basis (ranks of M - I and M + I read over F_3 by the
+  helper the lattice analysis also uses, and certified exact by an
+  integer check of M·M = I; no trace and no eigenvalue count);
 * fixed-set component counts, from enumeration of rational torus
   points clustered by an exact same-component certificate;
 * the module-arithmetic tables, from explicit free resolutions over
   Z[t]/(t^2 - 1) realized as integer matrices, homology via Smith
-  normal form;
+  normal form; the (1 - t) column is regenerated and checksummed with
+  the others although no package code reads it;
 * structure invariants, from the mod-2 quotients that define them, on
   integer kernel bases from Smith normal form;
-* seeded corpora of conjugated involutions for property sweeps.
+* seeded corpora of conjugated involutions for property sweeps, built
+  from seeded unimodular matrices and their exact inverses.
 """
 
 from __future__ import annotations
@@ -26,15 +28,14 @@ from dataclasses import dataclass
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
-    _f3_add,
-    _f3_rank,
+    _f3_eigenranks,
     _gf2_basis,
     _residue_masks,
-    _unimodular_with_inverse,
     express_in_basis,
     first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
+    random_unimodular,
     smith_normal_form,
 )
 from .lattice import (
@@ -50,7 +51,6 @@ __all__ = [
     "AbelianShape",
     "FixedGridResult",
     "Corpus",
-    "CorpusMember",
     "exterior_power_matrix",
     "exterior_action_invariants",
     "fixed_grid_components",
@@ -204,13 +204,7 @@ def _degree_ranks(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> t
         masks.append((ones, twos))
     if first_row_off_identity_square(rows) is not None:
         raise InternalInvariantError("exterior action is not semisimple over Q")
-    minus = _f3_rank(_f3_add(v, (0, 1 << j)) for j, v in enumerate(masks))
-    plus = _f3_rank(_f3_add(v, (1 << j, 0)) for j, v in enumerate(masks))
-    if minus + plus != dim:
-        raise InternalInvariantError(
-            f"F_3 ranks {minus} + {plus} of M -+ I miss dim {dim} although M*M = I"
-        )
-    return minus, plus
+    return _f3_eigenranks(masks)
 
 
 def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
@@ -350,8 +344,6 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
 
 _T_PLUS = (1, 1)  # t + 1
 _T_MINUS = (-1, 1)  # t - 1
-_ONE_MINUS_T = (1, -1)
-_ONE_PLUS_T = (1, 1)
 
 _REPS: dict[str, IntMatrix] = {
     "FreeR": IntMatrix.from_rows([[0, 1], [1, 0]]),
@@ -722,7 +714,7 @@ def involution_corpus(
         for i in range(count):
             mat = None
             for attempt in range(64):
-                p, p_inv = _unimodular_with_inverse(
+                p, p_inv = random_unimodular(
                     n, _derive_seed(seed, n, a, b, c, i, attempt), steps, cap
                 )
                 cand = p @ canon @ p_inv

@@ -7,10 +7,11 @@ The module class has four generators, recorded by multiplicity:
     SignZ   Z with t = -1, isomorphic to the ideal (t-1) and to R/(t+1)
     TorF2   R/((t-1), 2), the one-dimensional F_2 module
 
-Tensor products, Tor_1, localizations at the prime sites of R, and the
-kernel/image of multiplication by (1 - t) are all table-driven.  The
-tables are shipped as a checksummed JSON data file and are regenerated
-only by the resolution verifier in :mod:`crystalk.oracle`.
+Tensor products, Tor_1 and localizations at the prime sites of R are
+table-driven.  The tables are shipped as a checksummed JSON data file
+and are regenerated only by the resolution verifier in
+:mod:`crystalk.oracle`; the file also records the kernel and image of
+multiplication by (1 - t), which no code here reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping
@@ -29,16 +30,18 @@ __all__ = [
     "CLASS_ORDER",
     "RModuleSum",
     "PrimeSite",
+    "MIN_PLUS",
+    "MIN_MINUS",
+    "DYADIC",
+    "odd_plus",
+    "odd_minus",
     "LocalizedShape",
-    "OneMinusTSplit",
     "rank",
     "tensor",
     "tor1",
     "localize",
-    "mult_one_minus_t",
     "load_tables",
     "table_checksum",
-    "canonical_table_bytes",
     "TABLE_ENV_VAR",
 ]
 
@@ -133,16 +136,6 @@ class PrimeSite:
         elif self.p is not None:
             raise ValueError(f"{self.kind} does not take a residue prime")
 
-    @property
-    def contains_plus_ideal(self) -> bool:
-        """True when the site contains the ideal (t - 1)."""
-        return self.kind in ("MinPlus", "OddPlus", "Dyadic")
-
-    @property
-    def contains_minus_ideal(self) -> bool:
-        """True when the site contains the ideal (t + 1)."""
-        return self.kind in ("MinMinus", "OddMinus", "Dyadic")
-
     def label(self) -> str:
         if self.p is not None:
             return f"{self.kind}({self.p})"
@@ -170,19 +163,6 @@ class LocalizedShape:
     free_rank: int
     torsion_flag: bool
     note: str = ""
-
-
-@dataclass(frozen=True)
-class OneMinusTSplit:
-    """Kernel and image of the (1 - t) endomorphism.
-
-    ``image_indices`` annotates classes whose image sits at finite
-    index inside the class (the sign class maps onto 2Z, index 2).
-    """
-
-    kernel: RModuleSum
-    image: RModuleSum
-    image_indices: tuple[tuple[str, int], ...] = field(default_factory=tuple)
 
 
 def _load_table_bytes() -> bytes:
@@ -280,21 +260,3 @@ def localize(m: RModuleSum, site: PrimeSite) -> LocalizedShape:
         site=site, free_rank=free_rank, torsion_flag=torsion, note="; ".join(notes)
     )
 
-
-def mult_one_minus_t(m: RModuleSum) -> OneMinusTSplit:
-    """Kernel and image of multiplication by (1 - t), classwise."""
-    table = load_tables()["one_minus_t"]
-    kernel = RModuleSum()
-    image = RModuleSum()
-    indices: list[tuple[str, int]] = []
-    for name in CLASS_ORDER:
-        mult = m.multiplicity(name)
-        if not mult:
-            continue
-        cell = table[name]
-        kernel = kernel + RModuleSum.from_dict(cell["kernel"]).scale(mult)
-        image = image + RModuleSum.from_dict(cell["image"]).scale(mult)
-        idx = cell.get("image_index")
-        if idx is not None and idx != 1:
-            indices.append((name, idx))
-    return OneMinusTSplit(kernel=kernel, image=image, image_indices=tuple(indices))

@@ -41,9 +41,6 @@ __all__ = [
     "ScopeFlag",
     "FixedSetDescription",
     "CohomologyAction",
-    "KRankReport",
-    "CertificateStep",
-    "CertificateTrace",
     "fixed_set",
     "cohomology_invariants",
     "twisted_ranks",
@@ -405,78 +402,52 @@ def collect_torsion_flags(trace: CertificateTrace) -> list[bool]:
     return flags
 
 
-def _trivial_case(n: int) -> KRankReport:
-    per_degree = RModuleSum(free=2 ** (n - 1))
-    step = CertificateStep(
-        step="trivial_action_structure",
-        inputs={"n": n},
-        outputs={
-            "k0_module": per_degree.as_dict(),
-            "k1_module": per_degree.as_dict(),
-            "torsion_flag": False,
-        },
-        anchor=(
-            "for a trivial action the equivariant theory is the coefficient "
-            "ring tensored with the ordinary theory, a free module"
-        ),
-    )
-    return KRankReport(
-        k0=2**n,
-        k1=2**n,
-        scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
-        module_structure=(per_degree, per_degree),
-        torsion_free_certificate=CertificateTrace(steps=(step,)),
-    )
-
-
-def _free_case(n: int) -> KRankReport:
-    k0_module = RModuleSum(triv=2 ** (n - 1), sign=2**n)
-    k1_module = RModuleSum()
-    step = CertificateStep(
-        step="free_action_structure",
-        inputs={"n": n},
-        outputs={
-            "k0_module": k0_module.as_dict(),
-            "k1_module": k1_module.as_dict(),
-            "torsion_flag": False,
-        },
-        anchor=(
-            "for an action free away from the origin, degree 0 is a split "
-            "extension of the two rank-1 ideals and degree 1 vanishes"
-        ),
-    )
-    return KRankReport(
-        k0=module_rank(k0_module),
-        k1=0,
-        scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
-        module_structure=(k0_module, k1_module),
-        torsion_free_certificate=CertificateTrace(steps=(step,)),
-    )
-
-
 def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
     """Equivariant K-theory of the torus, dispatched by action class.
 
-    Trivial and free actions get closed-form module structures; the
-    split mixed class goes through the certified Kunneth assembly; the
-    non-split class is reported with rational ranks only.
+    Trivial and free actions get closed-form module structures, checked
+    against the delocalized ranks; the split mixed class goes through
+    the certified Kunneth assembly; the non-split class is reported with
+    rational ranks only.
     """
     cls = lat.analysis.action_class
-    if cls is ActionClass.TRIVIAL:
-        report = _trivial_case(lat.n)
-        deloc = k_ranks_delocalized(lat)
-        if deloc.ranks != report.ranks:
-            raise InternalInvariantError("trivial-case ranks disagree with delocalized route")
-        return report
-    if cls is ActionClass.FREE_OUTSIDE_ORIGIN:
-        report = _free_case(lat.n)
-        deloc = k_ranks_delocalized(lat)
-        if deloc.ranks != report.ranks:
-            raise InternalInvariantError("free-case ranks disagree with delocalized route")
-        return report
     if cls is ActionClass.MIXED_SPLIT:
         return kunneth_assembly(lat)
-    return k_ranks_delocalized(lat)
+    if cls is ActionClass.MIXED_NONSPLIT:
+        return k_ranks_delocalized(lat)
+    n = lat.n
+    if cls is ActionClass.TRIVIAL:
+        case, modules = "trivial", (RModuleSum(free=2 ** (n - 1)),) * 2
+        anchor = (
+            "for a trivial action the equivariant theory is the coefficient "
+            "ring tensored with the ordinary theory, a free module"
+        )
+    else:
+        case, modules = "free", (RModuleSum(triv=2 ** (n - 1), sign=2**n), RModuleSum())
+        anchor = (
+            "for an action free away from the origin, degree 0 is a split "
+            "extension of the two rank-1 ideals and degree 1 vanishes"
+        )
+    step = CertificateStep(
+        step=f"{case}_action_structure",
+        inputs={"n": n},
+        outputs={
+            "k0_module": modules[0].as_dict(),
+            "k1_module": modules[1].as_dict(),
+            "torsion_flag": False,
+        },
+        anchor=anchor,
+    )
+    report = KRankReport(
+        k0=module_rank(modules[0]),
+        k1=module_rank(modules[1]),
+        scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
+        module_structure=modules,
+        torsion_free_certificate=CertificateTrace(steps=(step,)),
+    )
+    if k_ranks_delocalized(lat).ranks != report.ranks:
+        raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
+    return report
 
 
 def structure_report(lat: InvolutiveLattice) -> dict:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crystalk
-from crystalk.cli import CATALOG, MAX_N, main
+from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.toruskt import build_report
 
@@ -102,6 +102,40 @@ class TestClassify:
         code, out = run_json(capsys, ["classify", "--input", path, "--format", "json"])
         assert code == 0
         assert out["invariants"] == {"a": MAX_N, "b": 0, "c": 0}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([1, 2], "matrix row 0 must be a list of n = 2 integers, got 1"),
+            ([[1, 0], None], "matrix row 1 must be a list of n = 2 integers, got None"),
+            ([[1, 0], "ab"], "matrix row 1 must be a list of n = 2 integers, got 'ab'"),
+            ([[1, 0], [0, 1, 0]], "matrix row 1 must be a list of n = 2 integers, got 3 entries"),
+            ([[1, 0], [0, 1.0]], "matrix entry [1][1] must be an integer, got 1.0"),
+        ],
+    )
+    def test_malformed_row_names_row_and_column(self, tmp_path, capsys, rows, message):
+        assert main(["classify", "--input", write_input(tmp_path, {"n": 2, "matrix": rows})]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_entry_over_bit_cap_exits_2_before_validation(self, tmp_path, capsys, monkeypatch):
+        def no_validation(*args):
+            raise AssertionError("validated an entry over the bit cap")
+
+        monkeypatch.setattr(crystalk.cli, "validate_involution", no_validation)
+        doc = {"n": 2, "matrix": [[1, 0], [-(1 << MAX_ENTRY_BITS), -1]]}
+        assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: matrix entry [1][0] has {MAX_ENTRY_BITS + 1} bits, "
+            f"over the cap of {MAX_ENTRY_BITS} bits\n"
+        )
+
+    def test_entry_at_bit_cap_is_accepted(self, tmp_path, capsys):
+        # an odd shear of the reflection is the swap lattice
+        doc = {"n": 2, "matrix": [[1, 0], [1 - (1 << MAX_ENTRY_BITS), -1]]}
+        path = write_input(tmp_path, doc)
+        code, out = run_json(capsys, ["classify", "--input", path, "--format", "json"])
+        assert code == 0
+        assert out["invariants"] == {"a": 0, "b": 0, "c": 1}
 
     @pytest.mark.parametrize("doc", [{"n": 1, "matrix": [[True]]}, {"n": True, "matrix": [[1]]}])
     def test_boolean_exits_2(self, tmp_path, capsys, doc):

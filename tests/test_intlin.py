@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError
 from crystalk.intlin import (
     IntMatrix,
-    _unimodular_with_inverse,
-    cokernel,
     exterior_trace_poly,
     express_in_basis,
     first_row_off_identity_square,
@@ -79,6 +77,12 @@ class TestSmithNormalForm:
         assert snf.U @ m @ snf.V == snf.D
         assert snf.divisors == ()
 
+    @given(small_matrices, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_unimodular_invariance(self, m, s1, s2):
+        u, _ = random_unimodular(m.rows, s1, steps=8)
+        v, _ = random_unimodular(m.cols, s2, steps=8)
+        assert smith_normal_form(u @ m @ v).divisors == smith_normal_form(m).divisors
+
     def test_divisor_chain_nontrivial(self):
         assert smith_normal_form(mat([[2, 0], [0, 3]])).divisors == (1, 6)
 
@@ -130,23 +134,6 @@ class TestKernelBasis:
             assert smith_normal_form(k).divisors == (1,) * k.cols
 
 
-class TestCokernel:
-    def test_examples(self):
-        assert cokernel(mat([[-2]])).free_rank == 0
-        assert cokernel(mat([[-2]])).torsion == (2,)
-        shape = cokernel(SWAP - IntMatrix.identity(2))
-        assert (shape.free_rank, shape.torsion) == (1, ())
-        assert cokernel(IntMatrix.identity(3)) == cokernel(IntMatrix.identity(3))
-        assert cokernel(IntMatrix.identity(3)).free_rank == 0
-        assert cokernel(IntMatrix.identity(3)).torsion == ()
-
-    @given(small_matrices, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    def test_unimodular_invariance(self, m, s1, s2):
-        u = random_unimodular(m.rows, s1, steps=8)
-        v = random_unimodular(m.cols, s2, steps=8)
-        assert cokernel(u @ m @ v) == cokernel(m)
-
-
 class TestExteriorTracePoly:
     def test_identity_binomials(self):
         assert exterior_trace_poly(IntMatrix.identity(2)) == (1, 2, 1)
@@ -164,8 +151,8 @@ class TestExteriorTracePoly:
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_product_traces_match_exterior_matrices(self, s1, s2, n):
-        a = random_unimodular(n, s1, steps=10)
-        b = random_unimodular(n, s2, steps=10)
+        a, _ = random_unimodular(n, s1, steps=10)
+        b, _ = random_unimodular(n, s2, steps=10)
         coeffs = exterior_trace_poly(a @ b)
         for k in range(n + 1):
             prod = exterior_power_matrix(a, k) @ exterior_power_matrix(b, k)
@@ -176,25 +163,29 @@ class TestExteriorTracePoly:
 class TestRandomUnimodular:
     def test_dimension_one_is_a_unit(self):
         for seed in range(5):
-            m = random_unimodular(1, seed, steps=10)
+            m, m_inv = random_unimodular(1, seed, steps=10)
             assert m.entries in ((1,), (-1,))
+            assert m_inv == m
 
     def test_zero_steps_is_identity(self):
-        assert random_unimodular(2, seed=99, steps=0) == IntMatrix.identity(2)
+        assert random_unimodular(2, seed=99, steps=0) == (IntMatrix.identity(2),) * 2
 
     def test_seeded_determinism(self):
         a = random_unimodular(4, seed=11, steps=20)
         b = random_unimodular(4, seed=11, steps=20)
         assert a == b
 
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_determinant_is_a_unit(self, n, seed):
-        assert abs(random_unimodular(n, seed, steps=20).det()) == 1
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 9, 32]))
+    def test_determinant_is_a_unit(self, n, seed, cap):
+        p, p_inv = random_unimodular(n, seed, steps=20, cap=cap)
+        assert abs(p.det()) == 1
+        assert p @ p_inv == IntMatrix.identity(n)
+        assert max(p.max_abs(), p_inv.max_abs()) <= cap
 
 
 class TestExpressAndInverse:
     def test_inverse_roundtrip(self):
-        u = random_unimodular(4, seed=5, steps=25)
+        u, _ = random_unimodular(4, seed=5, steps=25)
         assert u @ inv_unimodular(u) == IntMatrix.identity(4)
 
     def test_express_in_primitive_basis(self):
@@ -238,7 +229,7 @@ def near_involutions(draw):
     entries far beyond 64 bits.
     """
     n = draw(st.integers(1, 5))
-    p, p_inv = _unimodular_with_inverse(n, draw(st.integers(0, 2**32 - 1)), 3 * n + 2, 9)
+    p, p_inv = random_unimodular(n, draw(st.integers(0, 2**32 - 1)), 3 * n + 2, 9)
     if n > 1:
         c = draw(st.sampled_from([1, 2**40 + 1, -(2**70)]))
         p = p @ shear(n, c)

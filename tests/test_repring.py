@@ -14,7 +14,6 @@ from crystalk.repring import (
     TABLE_ENV_VAR,
     load_tables,
     localize,
-    mult_one_minus_t,
     odd_minus,
     odd_plus,
     rank,
@@ -60,11 +59,6 @@ class TestPrimeSite:
     def test_minimal_sites_take_no_prime(self):
         with pytest.raises(ValueError):
             PrimeSite("MinPlus", 3)
-
-    def test_branch_membership(self):
-        assert MIN_PLUS.contains_plus_ideal and not MIN_PLUS.contains_minus_ideal
-        assert DYADIC.contains_plus_ideal and DYADIC.contains_minus_ideal
-        assert odd_minus(7).contains_minus_ideal
 
     def test_labels(self):
         assert odd_plus(3).label() == "OddPlus(3)"
@@ -183,37 +177,39 @@ class TestLocalize:
                 )
 
 
+def one_minus_t(name):
+    """(kernel, image, image index) of multiplication by (1 - t) on one class.
+
+    Read off the one_minus_t column of the frozen tables, which the
+    resolution verifier regenerates.
+    """
+    cell = load_tables()["one_minus_t"][name]
+    kernel, image = (RModuleSum.from_dict(cell[key]) for key in ("kernel", "image"))
+    return kernel, image, cell.get("image_index", 1)
+
+
 class TestMultOneMinusT:
     def test_on_the_ring(self):
-        split = mult_one_minus_t(FREE)
-        assert split.kernel == TRIV
-        assert split.image == SIGN
+        assert one_minus_t("FreeR") == (TRIV, SIGN, 1)
 
     def test_on_trivial(self):
-        split = mult_one_minus_t(TRIV)
-        assert split.kernel == TRIV
-        assert split.image == ZERO
+        assert one_minus_t("TrivZ") == (TRIV, ZERO, 1)
 
     def test_on_sign_acts_as_doubling(self):
-        split = mult_one_minus_t(SIGN)
-        assert split.kernel == ZERO
-        assert split.image == SIGN
-        assert split.image_indices == (("SignZ", 2),)
+        assert one_minus_t("SignZ") == (ZERO, SIGN, 2)
 
     def test_on_torsion(self):
-        split = mult_one_minus_t(TOR)
-        assert split.kernel == TOR
-        assert split.image == ZERO
+        assert one_minus_t("TorF2") == (TOR, ZERO, 1)
 
     def test_vanishes_on_trivial_components_at_plus_sites(self):
         # localized at any site containing (t - 1), the endomorphism is
         # zero on trivial-class components: its image localizes to zero
-        split = mult_one_minus_t(RModuleSum(triv=4))
+        image = one_minus_t("TrivZ")[1].scale(4)
         for site in (MIN_PLUS, DYADIC, odd_plus(3)):
-            assert localize(split.image, site).free_rank == 0
+            assert localize(image, site).free_rank == 0
         # and the sign part of a general image dies at the plus branch
-        split = mult_one_minus_t(RModuleSum(free=1, triv=2))
-        assert localize(split.image, MIN_PLUS).free_rank == 0
+        image = one_minus_t("FreeR")[1] + one_minus_t("TrivZ")[1].scale(2)
+        assert localize(image, MIN_PLUS).free_rank == 0
 
 
 class TestFrozenTableFile:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from crystalk.errors import ScopeError
-from crystalk.intlin import IntMatrix, exterior_trace_poly, inv_unimodular, random_unimodular
+from crystalk.intlin import IntMatrix, exterior_trace_poly, random_unimodular
 from crystalk.lattice import ActionClass, canonical_matrix, classify, validate_involution
 from crystalk.oracle import involution_corpus
 from crystalk.repring import RModuleSum
@@ -198,10 +198,8 @@ class TestKunnethAssembly:
         )
 
     def test_certificate_depends_only_on_invariants(self):
-        p = random_unimodular(3, seed=23, steps=12)
-        conj = validate_involution(
-            p @ split_lat(3, 1).matrix @ inv_unimodular(p)
-        )
+        p, p_inv = random_unimodular(3, seed=23, steps=12)
+        conj = validate_involution(p @ split_lat(3, 1).matrix @ p_inv)
         assert kunneth_assembly(conj) == kunneth_assembly(split_lat(3, 1))
 
     def test_matches_delocalized_route(self, small_corpora):
