@@ -57,7 +57,7 @@ MAX_N = 400
 # entries (2-core VM), so wider entries are refused before validation
 MAX_ENTRY_BITS = 64
 
-VERIFY_EXTERIOR_MAX_N = 8
+VERIFY_EXTERIOR_MAX_N = 10
 VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
 
@@ -117,7 +117,7 @@ def _catalog_by_name(name: str) -> CatalogEntry:
     for entry in CATALOG:
         if entry.name == name:
             return entry
-    raise KeyError(f"no catalog entry named {name!r}")
+    raise ValueError(f"no catalog entry named {name!r}")
 
 
 def _load_matrix(args: argparse.Namespace) -> IntMatrix:
@@ -136,6 +136,8 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
     # bool is a subclass of int but never a dimension
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the supported maximum n <= {MAX_N}")
     if not isinstance(rows, list) or len(rows) != n:
@@ -339,7 +341,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("n must be at least 1")
     run_exterior = n <= VERIFY_EXTERIOR_MAX_N
     if not run_exterior:
-        print(f"exterior verifier skipped cleanly (bounded at n <= {VERIFY_EXTERIOR_MAX_N})")
+        print(
+            f"exterior verifier skipped cleanly (bounded at n <= {VERIFY_EXTERIOR_MAX_N})",
+            file=sys.stderr,
+        )
     run_grid = not args.skip_grid
     if n > VERIFY_GRID_MAX_N and run_grid:
         raise GridTooLargeError(

@@ -1,11 +1,12 @@
 """Exact integer linear algebra.
 
 Smith normal form with transformation matrices, integer kernels,
-an exact check of M·M = I, ranks over F_2 and F_3 on bitmask rows
-(including the ranks of M - I and M + I of an involution over F_3),
-exterior-power trace polynomials, and seeded unimodular matrices with
-their inverses.  Every operation works on arbitrary-precision Python
-integers; nothing in this module touches floating point.
+an exact check of M·M = I on the nonzeros of each row, ranks over F_2
+and F_3 on bitmask rows (including the ranks of M - I and M + I of an
+involution over F_3), exterior-power trace polynomials, and seeded
+unimodular matrices with their inverses.  Every operation works on
+arbitrary-precision Python integers; nothing in this module touches
+floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -352,19 +353,39 @@ def inv_unimodular(m: IntMatrix) -> IntMatrix:
 def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:
     """Index of the first row where M·M differs from I, or None if M·M = I.
 
-    Exact, by Kronecker substitution: row t of M is packed into one
-    integer P_t = sum_j M[t][j]·2^(w·j) with signed slots of width
-    w = bit_length(dim·max|M|²) + 2, so sum_t M[i][t]·P_t packs row i
-    of M·M.  Every entry of M·M - I has absolute value at most
-    dim·max|M|² + 1 < 2^(w-1), and packing is injective on such
-    entries, so the packed row equals 2^(w·i) exactly when row i of
-    M·M is the i-th unit row.
+    M is given by its dense rows; the check runs on their nonzeros
+    (see ``_first_sparse_row_off_identity_square``).
     """
-    dim = len(rows)
-    w = (dim * max(map(abs, chain.from_iterable(rows)), default=0) ** 2).bit_length() + 2
-    packed = [sum(x << (w * j) for j, x in enumerate(r) if x) for r in rows]
-    for i, r in enumerate(rows):
-        if sum(x * p for x, p in zip(r, packed) if x) != 1 << (w * i):
+    columns = range(len(rows))
+    return _first_sparse_row_off_identity_square(
+        [(list(compress(columns, r)), list(compress(r, r))) for r in rows]
+    )
+
+
+def _first_sparse_row_off_identity_square(
+    rows: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> int | None:
+    """Index of the first row where M·M differs from I, or None if M·M = I.
+
+    Row t of the square matrix M is given by its nonzeros, as the pair
+    (column indices, values).  Exact, by Kronecker substitution: row t
+    is packed into one integer P_t = sum_j M[t][j]·2^(w·j) with signed
+    slots of width w = bit_length(r·m) + 2, for r the largest absolute
+    row sum of M and m its largest absolute entry, so
+    sum_t M[i][t]·P_t packs row i of M·M.  Every entry of M·M - I has
+    absolute value at most r·m + 1 < 2^(w-1), and packing is injective
+    on such entries, so the packed row equals 2^(w·i) exactly when row
+    i of M·M is the i-th unit row.
+    """
+    sizes = [list(map(abs, vals)) for _, vals in rows]
+    bound = max(map(sum, sizes), default=0) * max(map(max, filter(None, sizes)), default=0)
+    w = bound.bit_length() + 2
+    packed = [
+        sum(map(operator.lshift, vals, map(operator.mul, cols, repeat(w))))
+        for cols, vals in rows
+    ]
+    for i, (cols, vals) in enumerate(rows):
+        if sum(map(operator.mul, vals, map(packed.__getitem__, cols))) != 1 << (w * i):
             return i
     return None
 

@@ -4,9 +4,11 @@ Every quantity the main pipeline derives is recomputed here by a
 different method at desk scale:
 
 * the cohomology action, from the explicit signed action on the full
-  exterior-algebra basis (ranks of M - I and M + I read over F_3 by the
+  exterior-algebra basis, its index sets held as bitmasks and each
+  Λ^k(A) as sparse rows (ranks of M - I and M + I read over F_3 by the
   helper the lattice analysis also uses, and certified exact by an
-  integer check of M·M = I; no trace and no eigenvalue count);
+  integer check of M·M = I on the nonzeros; no trace and no eigenvalue
+  count);
 * fixed-set component counts, from enumeration of rational torus
   points clustered by an exact same-component certificate;
 * the module-arithmetic tables, from explicit free resolutions over
@@ -24,15 +26,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
     _f3_eigenranks,
+    _first_sparse_row_off_identity_square,
     _gf2_basis,
     _residue_masks,
     express_in_basis,
-    first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
     random_unimodular,
@@ -66,7 +70,7 @@ __all__ = [
     "corpus_from_json",
 ]
 
-EXTERIOR_MAX_DIM = 8
+EXTERIOR_MAX_DIM = 10
 GRID_POINT_BOUND = 1_000_000
 GRID_SWEEP_BOUND = 16_777_216
 
@@ -115,45 +119,65 @@ def _gf2_rank_rows(m: IntMatrix) -> int:
 # exterior-algebra action
 
 
-def _exterior_images(a: IntMatrix) -> list[list[dict[tuple[int, ...], int]]]:
+@lru_cache(maxsize=None)
+def _exterior_basis(n: int) -> tuple[list[dict[int, int]], list[list[tuple[int, int]]]]:
+    """The exterior basis of Z^n, degree by degree, on subset bitmasks.
+
+    An index set S is the bitmask sum(1 << i for i in S).  Returns, per
+    degree k, the position of each mask in itertools-combinations order
+    (the dict lists the masks in that order), and for each S of degree
+    k >= 1 the position in degree k - 1 of S minus its largest element,
+    paired with that element.
+    """
+    index: list[dict[int, int]] = []
+    split: list[list[tuple[int, int]]] = [[]]
+    for k in range(n + 1):
+        masks = [sum(1 << i for i in s) for s in combinations(range(n), k)]
+        index.append({m: i for i, m in enumerate(masks)})
+        if k:
+            lasts = [m.bit_length() - 1 for m in masks]
+            split.append([(index[k - 1][m ^ 1 << last], last) for m, last in zip(masks, lasts)])
+    return index, split
+
+
+def _exterior_images(a: IntMatrix) -> list[list[dict[int, int]]]:
     """Images of every exterior basis vector e_S, degree by degree.
 
-    Degree k entries are aligned with itertools-combinations order of
-    the index sets S.
+    The image of e_S maps the bitmask of each T to the coefficient of
+    e_T; degree k entries follow the order of ``_exterior_basis(n)``.
+    With m the largest element of S, the image of e_S is the image of
+    e_(S - m) wedged with A e_m, and for i not in T,
+    e_T ∧ e_i = (-1)^j e_(T + i) where j counts the elements of T above
+    i: the bits of T >> i.
     """
-    from bisect import bisect_left
-    from itertools import combinations
-
     n = a.rows
-    # nonzero entries of each column of A, listed once
-    columns = [[(i, x) for i, x in enumerate(a.column(j)) if x] for j in range(n)]
-    combos = [list(combinations(range(n), k)) for k in range(n + 1)]
-    index = [{s: i for i, s in enumerate(combos[k])} for k in range(n + 1)]
-    images: list[list[dict[tuple[int, ...], int]]] = [[{(): 1}]]
+    split = _exterior_basis(n)[1]
+    # nonzero entries of each column of A, as (row, bit of the row, entry)
+    columns = [[(i, 1 << i, x) for i, x in enumerate(a.column(j)) if x] for j in range(n)]
+    images: list[list[dict[int, int]]] = [[{0: 1}]]
     for k in range(1, n + 1):
-        level: list[dict[tuple[int, ...], int]] = []
-        for s in combos[k]:
-            prefix, last = s[:-1], s[-1]
-            acc: dict[tuple[int, ...], int] = {}
-            for t, cf in images[k - 1][index[k - 1][prefix]].items():
-                size = len(t)
-                for i, av in columns[last]:
-                    pos = bisect_left(t, i)
-                    if pos < size and t[pos] == i:
+        prev = images[k - 1]
+        level: list[dict[int, int]] = []
+        for p, last in split[k]:
+            col = columns[last]
+            acc: dict[int, int] = {}
+            for t, cf in prev[p].items():
+                for i, bit, av in col:
+                    if t & bit:
                         continue
-                    sign = -1 if (size - pos) % 2 else 1
-                    new_t = t[:pos] + (i,) + t[pos:]
-                    acc[new_t] = acc.get(new_t, 0) + sign * cf * av
+                    u = t | bit
+                    if (t >> i).bit_count() & 1:
+                        acc[u] = acc.get(u, 0) - cf * av
+                    else:
+                        acc[u] = acc.get(u, 0) + cf * av
             level.append({t: c for t, c in acc.items() if c})
         images.append(level)
     return images
 
 
-def _images_matrix(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> IntMatrix:
+def _images_matrix(images: list[dict[int, int]], n: int, k: int) -> IntMatrix:
     """Matrix whose columns are the degree-k images, on the combination basis."""
-    from itertools import combinations
-
-    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    index = _exterior_basis(n)[0][k]
     rows = [[0] * len(images) for _ in images]
     for col, img in enumerate(images):
         for t, cf in img.items():
@@ -171,38 +195,37 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     return _images_matrix(_exterior_images(a)[k], n, k)
 
 
-def _degree_ranks(images: list[dict[tuple[int, ...], int]], n: int, k: int) -> tuple[int, int]:
+def _degree_ranks(images: list[dict[int, int]], n: int, k: int) -> tuple[int, int]:
     """Ranks over Q of M - I and M + I, for M = Λ^k(A) given by its column images.
 
-    No rational elimination runs.  First one exact integer check of
-    M·M = I: over Q it holds exactly when rank(M - I) + rank(M + I) =
-    dim, so its failure is the not-semisimple error.  Then both ranks
-    are read over F_3, and they are exact: a rank over F_p never
-    exceeds the rank over Q (a minor nonzero mod p is nonzero), and for
-    odd p the reduction of M·M = I splits F_p^dim into the ±1
-    eigenspaces, so the F_p ranks sum to dim just as the Q ranks do.
-    Both steps work on the transpose, whose rows are the columns at
-    hand; (M^T)² = I exactly when M² = I, and transposing keeps ranks.
+    No rational elimination runs, and no dense row is built: each image
+    gives the nonzeros of one row of the transpose M^T, and both steps
+    read only those.  First one exact integer check of M·M = I, on
+    sparse rows: over Q it holds exactly when rank(M - I) + rank(M + I)
+    = dim, so its failure is the not-semisimple error.  Then both ranks
+    are read over F_3 from the residues of the nonzeros, and they are
+    exact: a rank over F_p never exceeds the rank over Q (a minor
+    nonzero mod p is nonzero), and for odd p the reduction of M·M = I
+    splits F_p^dim into the ±1 eigenspaces, so the F_p ranks sum to dim
+    just as the Q ranks do.  Working on the transpose changes nothing:
+    (M^T)² = I exactly when M² = I, and transposing keeps ranks.
     """
-    from itertools import combinations
-
-    index = {s: i for i, s in enumerate(combinations(range(n), k))}
-    dim = len(images)
-    rows = [[0] * dim for _ in images]
+    index = _exterior_basis(n)[0][k]
+    rows = []
     masks = []
-    for j, img in enumerate(images):
-        row = rows[j]
+    for img in images:
+        cols = list(map(index.__getitem__, img))
+        vals = list(img.values())
         ones = twos = 0
-        for t, cf in img.items():
-            i = index[t]
-            row[i] = cf
+        for i, cf in zip(cols, vals):
             residue = cf % 3
             if residue == 1:
                 ones |= 1 << i
             elif residue == 2:
                 twos |= 1 << i
+        rows.append((cols, vals))
         masks.append((ones, twos))
-    if first_row_off_identity_square(rows) is not None:
+    if _first_sparse_row_off_identity_square(rows) is not None:
         raise InternalInvariantError("exterior action is not semisimple over Q")
     return _f3_eigenranks(masks)
 

@@ -96,6 +96,12 @@ class TestClassify:
         err = capsys.readouterr().err
         assert f"n = {MAX_N + 1} exceeds the supported maximum n <= {MAX_N}" in err
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_exits_2_before_reading_rows(self, tmp_path, capsys, n):
+        doc = {"n": n, "matrix": "never read"}
+        assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "input error: n must be at least 1\n"
+
     def test_n_at_cap_is_accepted(self, tmp_path, capsys):
         doc = {"n": MAX_N, "matrix": [[int(i == j) for j in range(MAX_N)] for i in range(MAX_N)]}
         path = write_input(tmp_path, doc)
@@ -216,6 +222,7 @@ class TestCstar:
 
     def test_unknown_catalog_name_exits_2(self, capsys):
         assert main(["cstar", "--catalog", "no-such-entry"]) == 2
+        assert capsys.readouterr().err == "input error: no catalog entry named 'no-such-entry'\n"
 
     def test_cache_roundtrip(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.jsonl")
@@ -327,11 +334,26 @@ class TestVerify:
         assert flags["MixedNonSplit"] == "RationalOnly"
 
     def test_grid_bound_exits_2_and_skips_exterior_cleanly(self, capsys):
-        code = main(["verify", "--n", "9", "--seed", "1", "--count", "1"])
+        code = main(["verify", "--n", "11", "--seed", "1", "--count", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert "grid verifier" in captured.err
-        assert "exterior verifier skipped cleanly" in captured.out
+        assert "exterior verifier skipped cleanly" in captured.err
+        assert captured.out == ""
+
+    def test_json_past_exterior_bound_is_one_document(self, capsys):
+        argv = ["verify", "--n", "11", "--skip-grid", "--seed", "1", "--count", "1"]
+        code, doc = run_json(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert doc["failures"] == 0
+        assert all("exterior" not in row["checks"] for row in doc["results"])
+
+    def test_exterior_check_runs_at_its_bound(self, capsys):
+        argv = ["verify", "--n", "10", "--skip-grid", "--seed", "7", "--count", "1"]
+        code, doc = run_json(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert doc["failures"] == 0
+        assert all(row["checks"]["exterior"] for row in doc["results"])
 
 
 class TestCatalog:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError
 from crystalk.intlin import (
     IntMatrix,
+    _first_sparse_row_off_identity_square,
     exterior_trace_poly,
     express_in_basis,
     first_row_off_identity_square,
@@ -12,7 +13,7 @@ from crystalk.intlin import (
     random_unimodular,
     smith_normal_form,
 )
-from crystalk.oracle import exterior_power_matrix
+from crystalk.oracle import exterior_power_matrix, involution_corpus
 
 
 def mat(rows):
@@ -282,3 +283,35 @@ class TestSquareIsIdentity:
         assert first_row_off_identity_square([[1, 0], [0, 1 + 3**40]]) == 1
         # row 0 of A·A is (1, 0) but row 1 is not
         assert first_row_off_identity_square([[1, 0], [1, 1]]) == 1
+        # row 0 of A·A is (9, -1, 0, ..., 0): with 3-bit slots (sized by the
+        # largest entry alone) it would pack to 9 - 2^3 = 1, like a unit row
+        rows = [[1] * 10] + [
+            [int(r <= 8), -int(r <= 2)] + [-int(r == j - 1) for j in range(2, 10)]
+            for r in range(1, 10)
+        ]
+        assert first_row_off_identity_by_dot_products(mat(rows)) == 0
+        assert first_row_off_identity_square(rows) == 0
+
+    def test_sparse_core_matches_dense_rows_on_exterior_powers(self):
+        # Λ^k(A) of an involution, and copies with one entry moved: set to
+        # zero, made nonzero, or pushed past 64 bits
+        for n in (3, 5):
+            for member in involution_corpus(n, seed=5, count=1).members:
+                for k in range(n + 1):
+                    m = exterior_power_matrix(member.matrix, k)
+                    dim = m.rows
+                    cases = [m.to_rows()]
+                    for i, j, delta in ((0, 0, 1), (dim - 1, 0, -3), (dim // 2, dim - 1, 2**64)):
+                        rows = m.to_rows()
+                        rows[i][j] += delta
+                        cases.append(rows)
+                        rows = m.to_rows()
+                        rows[i][j] = 0
+                        cases.append(rows)
+                    for rows in cases:
+                        sparse = [
+                            ([j for j, x in enumerate(r) if x], [x for x in r if x]) for r in rows
+                        ]
+                        want = first_row_off_identity_by_dot_products(mat(rows))
+                        assert _first_sparse_row_off_identity_square(sparse) == want
+                        assert first_row_off_identity_square(rows) == want

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crystalk import oracle
 from crystalk.errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
@@ -122,7 +123,39 @@ class TestExteriorAction:
 
     def test_dimension_bound(self):
         with pytest.raises(DimensionTooLargeError):
-            exterior_action_invariants(IntMatrix.identity(9))
+            exterior_action_invariants(IntMatrix.identity(11))
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(-3, 3),
+                        st.integers(-(2**70), 2**70),
+                        st.sampled_from([2**70, -(2**70)]),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_images_are_the_minors(self, rows):
+        # the coefficient of e_T in the image of e_S is det A[T, S]; index
+        # sets are bitmasks, each degree in combinations order
+        n = len(rows)
+        images = oracle._exterior_images(mat(rows))
+        for k in range(n + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            assert len(images[k]) == len(subsets)
+            for s, image in zip(subsets, images[k]):
+                minors = {
+                    sum(1 << i for i in t): mat([[rows[i][j] for j in s] for i in t]).det()
+                    for t in subsets
+                }
+                assert image == {t: d for t, d in minors.items() if d}
 
     def test_top_power_is_determinant(self):
         m, _ = random_unimodular(4, seed=3, steps=15)
