@@ -57,7 +57,9 @@ MAX_N = 400
 # entries (2-core VM), so wider entries are refused before validation
 MAX_ENTRY_BITS = 64
 
-VERIFY_EXTERIOR_MAX_N = 10
+# verify --skip-grid --count 1 takes about 0.5 / 2.8 / 9.8 s at n = 16 / 24 / 32
+# (2-core VM), growing about as n^4.4, so larger n is refused before the corpus
+VERIFY_MAX_N = 16
 VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
 
@@ -169,8 +171,12 @@ def _matrix_hash(m: IntMatrix) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_lookup(path: str, key: str) -> dict | None:
-    """The cached report for ``key``, skipping lines that are not records."""
+def _cache_lookup(path: str, key: str) -> tuple[dict, list[str]] | None:
+    """The cached report for ``key`` with its text lines.
+
+    Lines that are not records, and records for ``key`` whose report does
+    not render, are skipped and counted in one warning.
+    """
     hit, skipped = None, 0
     try:
         with open(path, "rb") as fh:
@@ -180,12 +186,11 @@ def _cache_lookup(path: str, key: str) -> dict | None:
                 try:
                     rec = json.loads(line)
                     rec_key, report = rec["key"], rec["report"]
-                except (ValueError, TypeError, KeyError):  # bad UTF-8, JSON or record
+                    if rec_key == key:
+                        hit = report, _report_text(report)
+                        break
+                except (ValueError, TypeError, KeyError):  # bad UTF-8, JSON, record or report
                     skipped += 1
-                    continue
-                if rec_key == key and isinstance(report, dict):
-                    hit = report
-                    break
     except FileNotFoundError:
         return None
     if skipped:
@@ -287,7 +292,7 @@ def cmd_cstar(args: argparse.Namespace) -> int:
         cache_key = hashlib.sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()
         cached = _cache_lookup(args.cache, cache_key)
         if cached is not None:
-            _emit(args, cached, _report_text(cached))
+            _emit(args, *cached)
             return EXIT_OK
     report = build_report(lat, kind="cstar")
     if args.cache:
@@ -339,10 +344,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    run_exterior = n <= VERIFY_EXTERIOR_MAX_N
+    if n > VERIFY_MAX_N:
+        raise ValueError(f"n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}")
+    run_exterior = n <= oracle.EXTERIOR_MAX_DIM
     if not run_exterior:
         print(
-            f"exterior verifier skipped cleanly (bounded at n <= {VERIFY_EXTERIOR_MAX_N})",
+            f"exterior verifier skipped cleanly (bounded at n <= {oracle.EXTERIOR_MAX_DIM})",
             file=sys.stderr,
         )
     run_grid = not args.skip_grid

@@ -41,5 +41,5 @@ class InternalInvariantError(CrystalkError, RuntimeError):
     """A cross-check that should never fail did fail."""
 
 
-class TableIntegrityError(CrystalkError, RuntimeError):
+class TableIntegrityError(InternalInvariantError):
     """The frozen module-arithmetic table file failed its checksum."""

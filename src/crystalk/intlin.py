@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -88,14 +88,11 @@ class IntMatrix:
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns = map(self.column, range(self.cols))
+        return IntMatrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
 
     def max_abs(self) -> int:
         return max((abs(x) for x in self.entries), default=0)
@@ -103,13 +100,12 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = other.transpose().to_rows()
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(sum(map(operator.mul, row, col)) for row in self.to_rows() for col in columns),
+        )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -523,37 +519,29 @@ def random_unimodular(n: int, seed: int, steps: int, cap: int = 32) -> tuple[Int
     if n < 1:
         raise ValueError("dimension must be at least 1")
     rng = random.Random(seed)
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def too_big(mat: list[list[int]]) -> bool:
-        return any(abs(x) > cap for row in mat for x in row)
-
+    # P is held by columns and P^-1 by rows, so each step acts on both alike
+    p_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    pinv = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         kind = rng.randrange(3)
         if n == 1:
             kind = 2
         if kind == 0:
-            # column add on p mirrors a row subtract on pinv
+            # column add on P mirrors a row subtract on P^-1; only the new column
+            # and row can leave the cap (at cap 0 no add ever passes, as no column
+            # of P is zero)
             i, j = rng.sample(range(n), 2)
             s = rng.choice((-1, 1))
-            for r in range(n):
-                p[r][j] += s * p[r][i]
-            for c in range(n):
-                pinv[i][c] -= s * pinv[j][c]
-            if too_big(p) or too_big(pinv):
-                for r in range(n):
-                    p[r][j] -= s * p[r][i]
-                for c in range(n):
-                    pinv[i][c] += s * pinv[j][c]
+            col = [x + s * y for x, y in zip(p_cols[j], p_cols[i])]
+            row = [x - s * y for x, y in zip(pinv[i], pinv[j])]
+            if max(map(abs, col + row)) <= cap:
+                p_cols[j], pinv[i] = col, row
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
-            for r in range(n):
-                p[r][i], p[r][j] = p[r][j], p[r][i]
+            p_cols[i], p_cols[j] = p_cols[j], p_cols[i]
             pinv[i], pinv[j] = pinv[j], pinv[i]
         else:
             i = rng.randrange(n)
-            for r in range(n):
-                p[r][i] = -p[r][i]
+            p_cols[i] = [-x for x in p_cols[i]]
             pinv[i] = [-x for x in pinv[i]]
-    return IntMatrix.from_rows(p), IntMatrix.from_rows(pinv)
+    return IntMatrix.from_rows(p_cols).transpose(), IntMatrix.from_rows(pinv)

@@ -24,7 +24,6 @@ different method at desk scale:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -48,17 +47,15 @@ from .lattice import (
     invariants,
     validate_involution,
 )
-from .repring import _SITE_KINDS, CLASS_ORDER, table_checksum
+from .repring import _SITE_KINDS, CLASS_ORDER, canonical_table_bytes, table_checksum
 from .toruskt import SPEC_VERSION, CohomologyAction
 
 __all__ = [
-    "AbelianShape",
     "FixedGridResult",
     "Corpus",
     "exterior_power_matrix",
     "exterior_action_invariants",
     "fixed_grid_components",
-    "resolution_tor",
     "resolution_module_class",
     "regenerate_tables",
     "render_table_file_bytes",
@@ -66,8 +63,6 @@ __all__ = [
     "structure_classes",
     "tate_invariants",
     "rank_exact",
-    "corpus_to_json",
-    "corpus_from_json",
 ]
 
 EXTERIOR_MAX_DIM = 10
@@ -310,12 +305,7 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     rows = m_int.to_rows()
 
     # column space of (A - I) mod 2, as bitmasks
-    basis = _gf2_basis(
-        [
-            sum((abs(m_int.entry(i, j)) % 2) << i for i in range(n))
-            for j in range(n)
-        ]
-    )
+    basis = _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose()))
 
     half, mod = 2 * d, 4 * d
     # a sum of n residues below 4d never wraps in this dtype
@@ -437,17 +427,6 @@ def _tensor_f2_masks(rmat: list[list[tuple[int, int]]]) -> list[int]:
     return masks
 
 
-def _block_diag(rep: IntMatrix, copies: int) -> IntMatrix:
-    dim = rep.rows
-    size = dim * copies
-    rows = [[0] * size for _ in range(size)]
-    for c in range(copies):
-        for x in range(dim):
-            for y in range(dim):
-                rows[c * dim + x][c * dim + y] = rep.entry(x, y)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
-
-
 def _label_free_lattice(t_action: IntMatrix) -> dict[str, int]:
     inv = invariants(validate_involution(t_action))
     out: dict[str, int] = {}
@@ -526,24 +505,10 @@ def resolution_module_class(m_class: str, n_class: str, degree: int) -> dict[str
     if degree > 0:
         d_out = _tensor_int(_res_differential(m_class, degree), rep)
     d_in = _tensor_int(_res_differential(m_class, degree + 1), rep)
-    t_big = _block_diag(rep, _res_rank(m_class, degree))
+    # t acting on each copy: the diagonal group-ring matrix t·I
+    rank = _res_rank(m_class, degree)
+    t_big = _tensor_int([[(0, int(i == j)) for j in range(rank)] for i in range(rank)], rep)
     return _homology_label(dim, d_out, d_in, t_big)
-
-
-@dataclass(frozen=True)
-class AbelianShape:
-    """Underlying abelian group of a module-class answer."""
-
-    free_rank: int
-    torsion: tuple[int, ...]
-
-
-def resolution_tor(m_class: str, n_class: str, degree: int) -> AbelianShape:
-    """Tor_degree(M, N) as an abelian group."""
-    label = resolution_module_class(m_class, n_class, degree)
-    free = 2 * label.get("FreeR", 0) + label.get("TrivZ", 0) + label.get("SignZ", 0)
-    torsion = (2,) * label.get("TorF2", 0)
-    return AbelianShape(free_rank=free, torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +615,9 @@ def regenerate_tables() -> dict:
 def render_table_file_bytes() -> bytes:
     """Canonical bytes of the frozen table file, checksum included."""
     tables = regenerate_tables()
-    doc = {
-        "spec_version": SPEC_VERSION,
-        "sha256": table_checksum(tables),
-        "tables": tables,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n"
+    return canonical_table_bytes(
+        {"spec_version": SPEC_VERSION, "sha256": table_checksum(tables), "tables": tables}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -710,26 +672,26 @@ def structure_classes(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+_CORPUS_CONJUGATOR_CAP = 9
+_CORPUS_MAX_ENTRY = 5000
+
+
 def _derive_seed(*parts) -> int:
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def involution_corpus(
-    n: int,
-    seed: int,
-    count: int,
-    steps: int | None = None,
-    cap: int = 9,
-    max_entry: int = 5000,
-) -> Corpus:
-    """Seeded corpus: ``count`` bounded conjugates of every canonical form."""
+def involution_corpus(n: int, seed: int, count: int) -> Corpus:
+    """Seeded corpus: ``count`` bounded conjugates of every canonical form.
+
+    Each conjugator P and its inverse come from ``random_unimodular`` with
+    3n + 2 steps and entries within ``_CORPUS_CONJUGATOR_CAP``; a conjugate
+    with an entry above ``_CORPUS_MAX_ENTRY`` is redrawn, at most 64 times.
+    """
     if n < 1:
         raise ValueError("rank must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if steps is None:
-        steps = 3 * n + 2
     members: list[CorpusMember] = []
     ident = IntMatrix.identity(n)
     for a, b, c in structure_classes(n):
@@ -737,11 +699,10 @@ def involution_corpus(
         for i in range(count):
             mat = None
             for attempt in range(64):
-                p, p_inv = random_unimodular(
-                    n, _derive_seed(seed, n, a, b, c, i, attempt), steps, cap
-                )
+                draw = _derive_seed(seed, n, a, b, c, i, attempt)
+                p, p_inv = random_unimodular(n, draw, 3 * n + 2, _CORPUS_CONJUGATOR_CAP)
                 cand = p @ canon @ p_inv
-                if cand.max_abs() <= max_entry:
+                if cand.max_abs() <= _CORPUS_MAX_ENTRY:
                     mat = cand
                     break
             if mat is None:
@@ -752,33 +713,3 @@ def involution_corpus(
                 CorpusMember(invariants=StructureInvariants(a=a, b=b, c=c), matrix=mat)
             )
     return Corpus(n=n, seed=seed, members=tuple(members))
-
-
-def corpus_to_json(corpus: Corpus) -> str:
-    return json.dumps(
-        {
-            "spec_version": SPEC_VERSION,
-            "n": corpus.n,
-            "seed": corpus.seed,
-            "members": [
-                {
-                    "invariants": m.invariants.as_dict(),
-                    "matrix": m.matrix.to_rows(),
-                }
-                for m in corpus.members
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-def corpus_from_json(text: str) -> Corpus:
-    doc = json.loads(text)
-    members = tuple(
-        CorpusMember(
-            invariants=StructureInvariants(**m["invariants"]),
-            matrix=IntMatrix.from_rows(m["matrix"]),
-        )
-        for m in doc["members"]
-    )
-    return Corpus(n=doc["n"], seed=doc["seed"], members=members)

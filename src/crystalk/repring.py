@@ -41,6 +41,7 @@ __all__ = [
     "tor1",
     "localize",
     "load_tables",
+    "canonical_table_bytes",
     "table_checksum",
     "TABLE_ENV_VAR",
 ]

@@ -140,8 +140,8 @@ def test_criterion_6_module_table_certification():
         assert oracle.render_table_file_bytes() == _load_table_bytes()
         tables = oracle.regenerate_tables()
         assert table_checksum(tables) == table_checksum(tables)
-        assert oracle.resolution_tor("TrivZ", "TrivZ", 1) == oracle.AbelianShape(0, (2,))
-        assert oracle.resolution_tor("TrivZ", "SignZ", 1) == oracle.AbelianShape(0, ())
+        assert oracle.resolution_module_class("TrivZ", "TrivZ", 1) == {"TorF2": 1}
+        assert oracle.resolution_module_class("TrivZ", "SignZ", 1) == {}
 
 
 def test_criterion_7_torsion_freeness_certificates():

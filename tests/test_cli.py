@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import crystalk
-from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, main
+from crystalk import oracle
+from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
+from crystalk.repring import _load_table_bytes
 from crystalk.toruskt import build_report
 
 PM = {"n": 2, "matrix": [[1, 0], [0, -1]]}
@@ -252,6 +254,25 @@ class TestCstar:
         assert "skipped 1 unreadable line" in captured.err
         assert cache.read_bytes() == before
 
+        # a record for this key whose report does not render is skipped too,
+        # and with no good record after it the request is a miss
+        key = json.loads(before.splitlines()[-1])["key"]
+        broken = (json.dumps({"key": key, "report": {}}) + "\n").encode()
+        for fmt in ("json", "text"):
+            argv = ["cstar", "--catalog", "pm-type", "--format", fmt]
+            assert main(argv) == 0
+            uncached = capsys.readouterr().out
+            cache.write_bytes(broken)
+            assert main(argv + ["--cache", str(cache)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == uncached
+            assert "skipped 1 unreadable line" in captured.err
+            written = cache.read_bytes()
+            assert written.startswith(broken) and written.count(b"\n") == 2
+            assert main(argv + ["--cache", str(cache)]) == 0  # a hit on the new record
+            assert capsys.readouterr().out == uncached
+            assert cache.read_bytes() == written
+
     def test_record_is_one_append_write(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         writes = []
@@ -348,6 +369,17 @@ class TestVerify:
         assert doc["failures"] == 0
         assert all("exterior" not in row["checks"] for row in doc["results"])
 
+    def test_n_above_cap_exits_2_before_the_corpus(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
+        n = VERIFY_MAX_N + 1
+        code = main(["verify", "--n", str(n), "--skip-grid"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}\n"
+        )
+
     def test_exterior_check_runs_at_its_bound(self, capsys):
         argv = ["verify", "--n", "10", "--skip-grid", "--seed", "7", "--count", "1"]
         code, doc = run_json(capsys, argv + ["--format", "json"])
@@ -369,6 +401,30 @@ class TestCatalog:
         assert code == 0
         for name in ("infinite-dihedral", "pm-type", "cm-swap"):
             assert name in out
+
+
+class TestTableIntegrity:
+    @pytest.mark.parametrize(
+        "argv",
+        [["cstar", "--catalog", "pm-type"], ["verify", "--n", "2", "--count", "1"]],
+        ids=["cstar", "verify"],
+    )
+    def test_checksum_mismatch_exits_4(self, tmp_path, argv):
+        doc = json.loads(_load_table_bytes())
+        doc["sha256"] = "0" * 64
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(crystalk.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "CRYSTALK_TABLE_PATH": str(bad)}
+        run = subprocess.run(
+            [sys.executable, "-m", "crystalk", *argv], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 4
+        assert run.stdout == ""
+        assert run.stderr.startswith(
+            "internal invariant violation: table checksum mismatch: recorded " + "0" * 64
+        )
+        assert run.stderr.count("\n") == 1
 
 
 class TestStartup:
