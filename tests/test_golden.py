@@ -9,6 +9,7 @@ and review the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from crystalk.cli import CATALOG, main
+from crystalk.lattice import canonical_matrix, validate_involution
+from crystalk.toruskt import build_report
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -46,6 +49,22 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_matches_golden(argv):
     assert run_case(argv) == load_golden()[" ".join(argv)]
+
+
+# sha256 over the sorted-key JSON of every torus and cstar report on the
+# canonical form of each (a, b, c) with n <= 8, one line per report
+REPORTS_SHA256 = "ab52f9a12c019c85dfcc6147e1ee8e0857c89cef53480df8e4de082d99fcc24a"
+
+
+def test_every_canonical_report_up_to_n8_is_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for c in range(n // 2 + 1):
+            for a in range(n - 2 * c + 1):
+                lat = validate_involution(canonical_matrix(a, n - 2 * c - a, c))
+                for kind in ("torus", "cstar"):
+                    h.update(json.dumps(build_report(lat, kind), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == REPORTS_SHA256
 
 
 if __name__ == "__main__":
