@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import __version__, oracle
-from .errors import (
-    GridTooLargeError,
-    InternalInvariantError,
-    NotInvolutionError,
-    NotSquareError,
-    ScopeError,
-)
+from .errors import GridTooLargeError, InternalInvariantError, NotInvolutionError, ScopeError
 from .intlin import IntMatrix
 from .lattice import ActionClass, validate_involution
 from .repring import _load_table_bytes, load_tables, table_checksum
@@ -60,6 +54,9 @@ MAX_ENTRY_BITS = 64
 # verify --skip-grid --count 1 takes about 0.5 / 2.8 / 9.8 s at n = 16 / 24 / 32
 # (2-core VM), growing about as n^4.4, so larger n is refused before the corpus
 VERIFY_MAX_N = 16
+# the sweep's time grows linearly in --count: --n 10 --skip-grid takes about
+# 1.5 s per count (2-core VM), so larger counts are refused before the corpus
+VERIFY_MAX_COUNT = 10
 VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
 
@@ -346,6 +343,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("n must be at least 1")
     if n > VERIFY_MAX_N:
         raise ValueError(f"n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}")
+    if args.count > VERIFY_MAX_COUNT:
+        raise ValueError(
+            f"count = {args.count} exceeds the verify sweep maximum count <= {VERIFY_MAX_COUNT}"
+        )
     run_exterior = n <= oracle.EXTERIOR_MAX_DIM
     if not run_exterior:
         print(
@@ -365,7 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     canonical_ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for member in corpus.members:
+    for member in corpus:
         lat = validate_involution(member.matrix)
         analysis = lat.analysis
         inv = analysis.invariants
@@ -410,14 +411,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "n": n,
         "seed": args.seed,
         "count": args.count,
-        "members": len(corpus.members),
+        "members": len(corpus),
         "tables_regenerate_identically": tables_ok,
         "results": rows,
         "failures": failures + (0 if tables_ok else 1),
     }
     lines = [
         f"verify sweep: n={n} seed={args.seed} count={args.count} "
-        f"members={len(corpus.members)}",
+        f"members={len(corpus)}",
         f"frozen tables regenerate identically: {'yes' if tables_ok else 'NO'}",
     ]
     seen: set[tuple[int, int, int]] = set()
@@ -507,15 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        NotSquareError,
-        GridTooLargeError,
-        json.JSONDecodeError,
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    # ValueError covers NotSquareError, GridTooLargeError and json.JSONDecodeError
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -52,7 +52,6 @@ from .toruskt import SPEC_VERSION, CohomologyAction
 
 __all__ = [
     "FixedGridResult",
-    "Corpus",
     "exterior_power_matrix",
     "exterior_action_invariants",
     "fixed_grid_components",
@@ -656,13 +655,6 @@ class CorpusMember:
     matrix: IntMatrix
 
 
-@dataclass(frozen=True)
-class Corpus:
-    n: int
-    seed: int
-    members: tuple[CorpusMember, ...]
-
-
 def structure_classes(n: int) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a + b + 2c = n, regular count ascending."""
     out = []
@@ -681,7 +673,7 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def involution_corpus(n: int, seed: int, count: int) -> Corpus:
+def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]:
     """Seeded corpus: ``count`` bounded conjugates of every canonical form.
 
     Each conjugator P and its inverse come from ``random_unimodular`` with
@@ -712,4 +704,4 @@ def involution_corpus(n: int, seed: int, count: int) -> Corpus:
             members.append(
                 CorpusMember(invariants=StructureInvariants(a=a, b=b, c=c), matrix=mat)
             )
-    return Corpus(n=n, seed=seed, members=tuple(members))
+    return tuple(members)

@@ -33,9 +33,8 @@ __all__ = [
     "MIN_PLUS",
     "MIN_MINUS",
     "DYADIC",
-    "odd_plus",
-    "odd_minus",
-    "LocalizedShape",
+    "ODD_PLUS",
+    "ODD_MINUS",
     "rank",
     "tensor",
     "tor1",
@@ -109,17 +108,6 @@ class RModuleSum:
 _SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeSite:
     """A prime of R: one of the two minimal primes, the dyadic point,
@@ -127,15 +115,6 @@ class PrimeSite:
 
     kind: str
     p: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SITE_KINDS:
-            raise ValueError(f"unknown site kind {self.kind!r}")
-        if self.kind in ("OddPlus", "OddMinus"):
-            if self.p is None or not _is_odd_prime(self.p):
-                raise ValueError("odd sites need an odd prime p >= 3")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} does not take a residue prime")
 
     def label(self) -> str:
         if self.p is not None:
@@ -146,24 +125,9 @@ class PrimeSite:
 MIN_PLUS = PrimeSite("MinPlus")
 MIN_MINUS = PrimeSite("MinMinus")
 DYADIC = PrimeSite("Dyadic")
-
-
-def odd_plus(p: int) -> PrimeSite:
-    return PrimeSite("OddPlus", p)
-
-
-def odd_minus(p: int) -> PrimeSite:
-    return PrimeSite("OddMinus", p)
-
-
-@dataclass(frozen=True)
-class LocalizedShape:
-    """Shape of a module after localizing at a prime site."""
-
-    site: PrimeSite
-    free_rank: int
-    torsion_flag: bool
-    note: str = ""
+# the tables are keyed on the kind alone, so one witness odd prime per branch
+ODD_PLUS = PrimeSite("OddPlus", 3)
+ODD_MINUS = PrimeSite("OddMinus", 3)
 
 
 def _load_table_bytes() -> bytes:
@@ -236,11 +200,12 @@ def tor1(m: RModuleSum, n: RModuleSum) -> RModuleSum:
     return _bilinear(load_tables()["tor1"], m, n)
 
 
-def localize(m: RModuleSum, site: PrimeSite) -> LocalizedShape:
-    """Localized shape at a prime site.
+def localize(m: RModuleSum, site: PrimeSite) -> dict:
+    """The certificate record of ``m`` localized at a prime site.
 
-    The behaviour of each basis class depends only on the site kind;
-    odd sites act identically for every odd prime.
+    ``{"site", "free_rank", "torsion_flag"}``, plus ``"note"`` when a
+    basis class carries one.  The behaviour of each basis class depends
+    only on the site kind.
     """
     table = load_tables()["localize"]
     free_rank = 0
@@ -257,7 +222,7 @@ def localize(m: RModuleSum, site: PrimeSite) -> LocalizedShape:
         note = cell.get("note", "")
         if note and note not in notes:
             notes.append(note)
-    return LocalizedShape(
-        site=site, free_rank=free_rank, torsion_flag=torsion, note="; ".join(notes)
-    )
-
+    out: dict = {"site": site.label(), "free_rank": free_rank, "torsion_flag": torsion}
+    if notes:
+        out["note"] = "; ".join(notes)
+    return out

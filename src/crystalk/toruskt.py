@@ -25,12 +25,10 @@ from .repring import (
     DYADIC,
     MIN_MINUS,
     MIN_PLUS,
-    LocalizedShape,
-    PrimeSite,
+    ODD_MINUS,
+    ODD_PLUS,
     RModuleSum,
     localize,
-    odd_minus,
-    odd_plus,
     rank as module_rank,
     tensor,
     tor1,
@@ -55,9 +53,9 @@ __all__ = [
 
 SPEC_VERSION = "1.0"
 
-# one witness odd prime per branch; the localization tables do not
-# depend on which odd prime is chosen
-_WITNESS_ODD_PRIME = 3
+# the prime sites of the two branches the Kunneth certificate localizes at
+_J_BRANCH_SITES = (MIN_MINUS, ODD_MINUS)
+_I_BRANCH_SITES = (MIN_PLUS, ODD_PLUS, DYADIC)
 
 
 class ScopeFlag(enum.Enum):
@@ -84,38 +82,17 @@ class CohomologyAction:
 
 
 @dataclass(frozen=True)
-class CertificateStep:
-    step: str
-    inputs: dict
-    outputs: dict
-    anchor: str
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "input": self.inputs,
-            "output": self.outputs,
-            "anchor": self.anchor,
-        }
-
-
-@dataclass(frozen=True)
-class CertificateTrace:
-    steps: tuple[CertificateStep, ...]
-
-    def as_dict(self) -> dict:
-        return {"steps": [s.as_dict() for s in self.steps]}
-
-
-@dataclass(frozen=True)
 class KRankReport:
-    """Per-degree ranks plus, where validated, integral structure."""
+    """Per-degree ranks plus, where validated, integral structure.
+
+    ``certificate`` is the ``{"steps": [...]}`` object the report emits.
+    """
 
     k0: int
     k1: int
     scope_flag: ScopeFlag
     module_structure: tuple[RModuleSum, RModuleSum] | None = None
-    torsion_free_certificate: CertificateTrace | None = None
+    certificate: dict | None = None
 
     @property
     def ranks(self) -> tuple[int, int]:
@@ -164,8 +141,10 @@ def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     )
 
 
-def _fixed_cohomology_ranks(desc: FixedSetDescription) -> tuple[int, int]:
-    """(even, odd) cohomology ranks of a disjoint union of affine subtori."""
+def _fixed_cohomology_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
+    """(even, odd) cohomology ranks of the fixed set, a disjoint union of
+    affine subtori."""
+    desc = fixed_set(lat)
     if desc.dim >= 1:
         per = 2 ** (desc.dim - 1)
         return desc.components * per, desc.components * per
@@ -183,8 +162,7 @@ def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
     rank identity, see :func:`hexagon_rank_sum`.
     """
     action = cohomology_invariants(lat)
-    desc = fixed_set(lat)
-    h_even, h_odd = _fixed_cohomology_ranks(desc)
+    h_even, h_odd = _fixed_cohomology_ranks(lat)
     return (action.odd_anti + h_even, action.even_anti + h_odd)
 
 
@@ -196,8 +174,7 @@ def k_ranks_delocalized(lat: InvolutiveLattice) -> KRankReport:
     This route produces rational ranks only.
     """
     action = cohomology_invariants(lat)
-    desc = fixed_set(lat)
-    h_even, h_odd = _fixed_cohomology_ranks(desc)
+    h_even, h_odd = _fixed_cohomology_ranks(lat)
     return KRankReport(
         k0=action.even_inv + h_even,
         k1=action.odd_inv + h_odd,
@@ -217,23 +194,9 @@ def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
     return half - k0m + deloc.k0 - half + k1m - deloc.k1
 
 
-def _j_branch_sites() -> list[PrimeSite]:
-    return [MIN_MINUS, odd_minus(_WITNESS_ODD_PRIME)]
-
-
-def _i_branch_sites() -> list[PrimeSite]:
-    return [MIN_PLUS, odd_plus(_WITNESS_ODD_PRIME), DYADIC]
-
-
-def _loc_dict(shape: LocalizedShape) -> dict:
-    out: dict[str, Any] = {
-        "site": shape.site.label(),
-        "free_rank": shape.free_rank,
-        "torsion_flag": shape.torsion_flag,
-    }
-    if shape.note:
-        out["note"] = shape.note
-    return out
+def _step(step: str, inputs: dict, outputs: dict, anchor: str) -> dict:
+    """One certificate step as the report emits it."""
+    return {"step": step, "input": inputs, "output": outputs, "anchor": anchor}
 
 
 def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
@@ -275,10 +238,10 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
     kx = RModuleSum(free=2 ** (r - 1))  # per degree
     ky0 = RModuleSum(triv=2 ** (m - 1), sign=2**m)
     ky1 = RModuleSum()
-    step1 = CertificateStep(
-        step="decomposition",
-        inputs={"n": n, "a": inv.a, "b": inv.b, "c": inv.c},
-        outputs={
+    step1 = _step(
+        "decomposition",
+        {"n": n, "a": inv.a, "b": inv.b, "c": inv.c},
+        {
             "trivial_factor_dim": r,
             "free_factor_dim": m,
             "kx_degree0": kx.as_dict(),
@@ -286,67 +249,54 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
             "ky_degree0": ky0.as_dict(),
             "ky_degree1": ky1.as_dict(),
         },
-        anchor=(
-            "R^n models the proper classifying space; the torus splits as a "
-            "trivially-acted factor times a factor acted on freely away from the origin"
-        ),
+        "R^n models the proper classifying space; the torus splits as a "
+        "trivially-acted factor times a factor acted on freely away from the origin",
     )
 
     # graded tensor product, identical in both degrees because ky1 = 0
     t_deg0 = tensor(kx, ky0) + tensor(kx, ky1)
     t_deg1 = tensor(kx, ky1) + tensor(kx, ky0)
-    j_sites = _j_branch_sites()
     j_locs = [
-        {
-            "site": s.label(),
-            "degree0": _loc_dict(localize(t_deg0, s)),
-            "degree1": _loc_dict(localize(t_deg1, s)),
-        }
-        for s in j_sites
+        {"site": s.label(), "degree0": localize(t_deg0, s), "degree1": localize(t_deg1, s)}
+        for s in _J_BRANCH_SITES
     ]
-    step2 = CertificateStep(
-        step="localized_kunneth",
-        inputs={"degree0": t_deg0.as_dict(), "degree1": t_deg1.as_dict()},
-        outputs={"sites": j_locs},
-        anchor=(
-            "Kunneth short exact sequence for the product at primes containing "
-            "(1 + t), dyadic point excluded"
-        ),
+    step2 = _step(
+        "localized_kunneth",
+        {"degree0": t_deg0.as_dict(), "degree1": t_deg1.as_dict()},
+        {"sites": j_locs},
+        "Kunneth short exact sequence for the product at primes containing "
+        "(1 + t), dyadic point excluded",
     )
 
     tor_deg0 = tor1(kx, ky1)
     tor_deg1 = tor1(kx, ky0)
     if not (tor_deg0.is_zero and tor_deg1.is_zero):
         raise InternalInvariantError("Tor term failed to vanish on a free factor")
-    step3 = CertificateStep(
-        step="tor_vanishing",
-        inputs={"left_factor": kx.as_dict()},
-        outputs={
-            "sites": [s.label() for s in j_sites],
+    step3 = _step(
+        "tor_vanishing",
+        {"left_factor": kx.as_dict()},
+        {
+            "sites": [s.label() for s in _J_BRANCH_SITES],
             "tor1_degree0": tor_deg0.as_dict(),
             "tor1_degree1": tor_deg1.as_dict(),
         },
-        anchor="Tor_1 vanishes because the trivial-factor theory localizes to a free module",
+        "Tor_1 vanishes because the trivial-factor theory localizes to a free module",
     )
 
     ambient = RModuleSum(triv=2 ** (n - 1))  # ordinary K-theory of T^n per degree
-    i_sites = _i_branch_sites()
-    i_locs = [_loc_dict(localize(ambient, s)) for s in i_sites]
-    step4 = CertificateStep(
-        step="zt_argument",
-        inputs={"ambient_per_degree": ambient.as_dict()},
-        outputs={
-            "sites": i_locs,
+    step4 = _step(
+        "zt_argument",
+        {"ambient_per_degree": ambient.as_dict()},
+        {
+            "sites": [localize(ambient, s) for s in _I_BRANCH_SITES],
             "conclusion": (
                 "the equivariant theory embeds in the ordinary theory at these "
                 "sites; every localization is Z-torsion-free, so the global "
                 "Z-torsion submodule vanishes"
             ),
         },
-        anchor=(
-            "at primes containing (1 - t) the twisted comparison maps vanish "
-            "after localization, giving the submodule embedding"
-        ),
+        "at primes containing (1 - t) the twisted comparison maps vanish "
+        "after localization, giving the submodule embedding",
     )
 
     k_value = 3 * 2 ** (n - 2)
@@ -355,35 +305,33 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
         raise InternalInvariantError(
             f"route disagreement: assembly {(k_value, k_value)}, delocalized {deloc.ranks}"
         )
-    step5 = CertificateStep(
-        step="rank_formula",
-        inputs={
+    step5 = _step(
+        "rank_formula",
+        {
             "ordinary_rank_trivial_factor": 2 ** (r - 1),
             "equivariant_rank_free_factor": module_rank(ky0),
         },
-        outputs={
+        {
             "k0": k_value,
             "k1": k_value,
             "delocalized": {"k0": deloc.k0, "k1": deloc.k1},
             "routes_agree": True,
         },
-        anchor="rank equals the sum over group elements of invariant cohomology ranks of fixed sets",
+        "rank equals the sum over group elements of invariant cohomology ranks of fixed sets",
     )
 
-    trace = CertificateTrace(steps=(step1, step2, step3, step4, step5))
-    for flag in collect_torsion_flags(trace):
-        if flag:
-            raise InternalInvariantError("torsion flag raised inside a split-case certificate")
+    certificate = {"steps": [step1, step2, step3, step4, step5]}
+    if any(collect_torsion_flags(certificate)):
+        raise InternalInvariantError("torsion flag raised inside a split-case certificate")
     return KRankReport(
         k0=k_value,
         k1=k_value,
         scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
-        module_structure=None,
-        torsion_free_certificate=trace,
+        certificate=certificate,
     )
 
 
-def collect_torsion_flags(trace: CertificateTrace) -> list[bool]:
+def collect_torsion_flags(certificate: dict) -> list[bool]:
     """All torsion flags recorded anywhere in a certificate."""
     flags: list[bool] = []
 
@@ -398,7 +346,7 @@ def collect_torsion_flags(trace: CertificateTrace) -> list[bool]:
             for item in obj:
                 walk(item)
 
-    walk(trace.as_dict())
+    walk(certificate)
     return flags
 
 
@@ -428,22 +376,22 @@ def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
             "for an action free away from the origin, degree 0 is a split "
             "extension of the two rank-1 ideals and degree 1 vanishes"
         )
-    step = CertificateStep(
-        step=f"{case}_action_structure",
-        inputs={"n": n},
-        outputs={
+    step = _step(
+        f"{case}_action_structure",
+        {"n": n},
+        {
             "k0_module": modules[0].as_dict(),
             "k1_module": modules[1].as_dict(),
             "torsion_flag": False,
         },
-        anchor=anchor,
+        anchor,
     )
     report = KRankReport(
         k0=module_rank(modules[0]),
         k1=module_rank(modules[1]),
         scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
         module_structure=modules,
-        torsion_free_certificate=CertificateTrace(steps=(step,)),
+        certificate={"steps": [step]},
     )
     if k_ranks_delocalized(lat).ranks != report.ranks:
         raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
@@ -487,8 +435,8 @@ def build_report(lat: InvolutiveLattice, kind: str = "torus") -> dict:
             "k0": report.module_structure[0].as_dict(),
             "k1": report.module_structure[1].as_dict(),
         }
-    if report.torsion_free_certificate is not None:
-        out["certificate"] = report.torsion_free_certificate.as_dict()
+    if report.certificate is not None:
+        out["certificate"] = report.certificate
     notes: list[str] = []
     if report.scope_flag is ScopeFlag.RATIONAL_ONLY:
         notes.append(

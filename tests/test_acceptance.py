@@ -52,10 +52,10 @@ def split_matrix(n: int, r: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-_corpus_cache: dict[tuple[int, int], oracle.Corpus] = {}
+_corpus_cache: dict[tuple[int, int], tuple[oracle.CorpusMember, ...]] = {}
 
 
-def corpus(n: int, count: int) -> oracle.Corpus:
+def corpus(n: int, count: int) -> tuple[oracle.CorpusMember, ...]:
     key = (n, count)
     if key not in _corpus_cache:
         _corpus_cache[key] = oracle.involution_corpus(n, seed=777 + n, count=count)
@@ -82,7 +82,7 @@ def test_criterion_2_split_mixed_case():
                 deloc = k_ranks_delocalized(lat)
                 assert assembled.ranks == expected, (n, r)
                 assert deloc.ranks == expected, (n, r)
-                assert len(assembled.torsion_free_certificate.steps) == 5
+                assert len(assembled.certificate["steps"]) == 5
 
 
 def test_criterion_3_infinite_dihedral():
@@ -98,7 +98,7 @@ def test_criterion_4_route_agreement_on_corpora():
     ):
         for n in range(1, 7):
             by_class: dict[tuple[int, int, int], tuple[int, int]] = {}
-            for member in corpus(n, 25).members:
+            for member in corpus(n, 25):
                 lat = validate_involution(member.matrix)
                 inv = member.invariants
                 ranks = k_ranks_delocalized(lat).ranks
@@ -116,7 +116,7 @@ def test_criterion_5_oracle_equivalence():
         "oracle equivalence: exterior action (n <= 8) and grid components (n <= 6, d = 4)",
     ):
         for n in range(1, 7):
-            for member in corpus(n, 3).members:
+            for member in corpus(n, 3):
                 lat = validate_involution(member.matrix)
                 assert oracle.exterior_action_invariants(member.matrix) == (
                     cohomology_invariants(lat)
@@ -126,7 +126,7 @@ def test_criterion_5_oracle_equivalence():
                 assert grid.components == desc.components, (n, member.invariants)
                 assert grid.dim_estimate == desc.dim, (n, member.invariants)
         for n in (7, 8):
-            for member in corpus(n, 2).members:
+            for member in corpus(n, 2):
                 lat = validate_involution(member.matrix)
                 assert oracle.exterior_action_invariants(member.matrix) == (
                     cohomology_invariants(lat)
@@ -153,29 +153,29 @@ def test_criterion_7_torsion_freeness_certificates():
             for r in range(1, n):
                 runs.append(validate_involution(split_matrix(n, r)))
         for n in range(2, 7):
-            for member in corpus(n, 25).members:
+            for member in corpus(n, 25):
                 lat = validate_involution(member.matrix)
                 if classify(lat) is ActionClass.MIXED_SPLIT:
                     runs.append(lat)
         assert runs
         for lat in runs:
             report = integral_k_theory(lat)
-            trace = report.torsion_free_certificate
-            assert trace is not None
-            flags = collect_torsion_flags(trace)
+            certificate = report.certificate
+            assert certificate is not None
+            flags = collect_torsion_flags(certificate)
             assert flags, "certificate must record localized shapes"
             assert not any(flags)
-            steps = {s.step: s for s in trace.steps}
-            tor_sites = steps["tor_vanishing"].outputs["sites"]
+            steps = {s["step"]: s for s in certificate["steps"]}
+            tor_sites = steps["tor_vanishing"]["output"]["sites"]
             assert tor_sites == ["MinMinus", "OddMinus(3)"]
-            zt_sites = [entry["site"] for entry in steps["zt_argument"].outputs["sites"]]
+            zt_sites = [entry["site"] for entry in steps["zt_argument"]["output"]["sites"]]
             assert zt_sites == ["MinPlus", "OddPlus(3)", "Dyadic"]
 
 
 def test_criterion_8_hexagon_rank_consistency():
     with criterion(8, 30.0, "six-term alternating rank sum vanishes on every corpus member, n <= 6"):
         for n in range(1, 7):
-            for member in corpus(n, 25).members:
+            for member in corpus(n, 25):
                 assert hexagon_rank_sum(validate_involution(member.matrix)) == 0, (
                     n,
                     member.invariants,

@@ -10,7 +10,7 @@ import pytest
 
 import crystalk
 from crystalk import oracle
-from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_N, main
+from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.repring import _load_table_bytes
 from crystalk.toruskt import build_report
@@ -378,6 +378,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == (
             f"input error: n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}\n"
+        )
+
+    def test_count_above_cap_exits_2_before_the_skip_notice(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
+        count = VERIFY_MAX_COUNT + 1
+        code = main(["verify", "--n", "11", "--skip-grid", "--count", str(count)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: count = {count} exceeds the verify sweep maximum "
+            f"count <= {VERIFY_MAX_COUNT}\n"
         )
 
     def test_exterior_check_runs_at_its_bound(self, capsys):

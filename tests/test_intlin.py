@@ -296,7 +296,7 @@ class TestSquareIsIdentity:
         # Λ^k(A) of an involution, and copies with one entry moved: set to
         # zero, made nonzero, or pushed past 64 bits
         for n in (3, 5):
-            for member in involution_corpus(n, seed=5, count=1).members:
+            for member in involution_corpus(n, seed=5, count=1):
                 for k in range(n + 1):
                     m = exterior_power_matrix(member.matrix, k)
                     dim = m.rows

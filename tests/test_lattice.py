@@ -173,7 +173,7 @@ class TestDecompose:
 class TestConjugationProperties:
     def test_corpus_invariance(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 l = validate_involution(member.matrix)
                 assert invariants(l) == member.invariants
                 canon = validate_involution(
@@ -185,7 +185,7 @@ class TestConjugationProperties:
 
     def test_corpus_decompose_roundtrip(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 l = validate_involution(member.matrix)
                 u, blocks = decompose(l)
                 assert abs(u.det()) == 1
@@ -200,7 +200,7 @@ class TestConjugationProperties:
     def test_corpus_kernel_and_torsion_bookkeeping(self, small_corpora):
         for n, corpus in small_corpora.items():
             ident = IntMatrix.identity(n)
-            for member in corpus.members:
+            for member in corpus:
                 inv = member.invariants
                 a = member.matrix
                 assert kernel_basis(a - ident).cols == inv.a + inv.c
@@ -229,7 +229,7 @@ class TestConjugationProperties:
 class TestAnalysisRoutes:
     def test_ranks_agree_with_corpus_and_tate_route(self):
         for n in range(1, 13):
-            for member in involution_corpus(n, seed=11, count=1).members:
+            for member in involution_corpus(n, seed=11, count=1):
                 analysis = validate_involution(member.matrix).analysis
                 inv = member.invariants
                 assert analysis.invariants == inv == tate_invariants(member.matrix)

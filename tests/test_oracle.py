@@ -14,7 +14,6 @@ from crystalk.lattice import (
     validate_involution,
 )
 from crystalk.oracle import (
-    Corpus,
     FixedGridResult,
     exterior_action_invariants,
     exterior_power_matrix,
@@ -171,7 +170,7 @@ class TestExteriorAction:
 
     def test_f3_ranks_match_rank_exact(self):
         for n in range(1, 9):
-            for member in involution_corpus(n, seed=3, count=1).members:
+            for member in involution_corpus(n, seed=3, count=1):
                 images = oracle._exterior_images(member.matrix)
                 for k in range(n + 1):
                     m = oracle._images_matrix(images[k], n, k)
@@ -183,7 +182,7 @@ class TestExteriorAction:
 
     def test_makes_no_rank_exact_call(self, count_calls):
         calls = count_calls(rank_exact)
-        member = involution_corpus(4, seed=3, count=1).members[5]
+        member = involution_corpus(4, seed=3, count=1)[5]
         assert exterior_action_invariants(member.matrix) == cohomology_invariants(
             validate_involution(member.matrix)
         )
@@ -223,7 +222,7 @@ class TestExteriorAction:
 
     def test_agrees_with_trace_route(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 assert exterior_action_invariants(member.matrix) == cohomology_invariants(
                     validate_involution(member.matrix)
                 )
@@ -258,7 +257,7 @@ class TestFixedGrid:
 
     def test_agrees_with_invariant_route(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 desc = fixed_set(validate_involution(member.matrix))
                 grid = fixed_grid_components(member.matrix, 4)
                 assert grid.components == desc.components
@@ -278,7 +277,7 @@ class TestFixedGrid:
     def test_rank_seven_corpus_member(self):
         # 8^7 doubled points, enumerated in several slices of the first coordinate
         corpus = involution_corpus(7, seed=7, count=1)
-        member = next(m for m in corpus.members if m.invariants == StructureInvariants(1, 2, 2))
+        member = next(m for m in corpus if m.invariants == StructureInvariants(1, 2, 2))
         analysis = validate_involution(member.matrix).analysis
         grid = fixed_grid_components(member.matrix, 4)
         assert (grid.components, grid.dim_estimate) == (
@@ -331,7 +330,7 @@ class TestResolutionTor:
 class TestCorpus:
     def test_rank_one_has_two_classes(self):
         corpus = involution_corpus(1, seed=0, count=1)
-        mats = sorted(m.matrix.entries for m in corpus.members)
+        mats = sorted(m.matrix.entries for m in corpus)
         assert mats == [(-1,), (1,)]
 
     def test_rank_two_class_list(self):
@@ -339,9 +338,9 @@ class TestCorpus:
 
     def test_rank_three_member_count_and_validity(self):
         corpus = involution_corpus(3, seed=11, count=5)
-        assert len(corpus.members) == 30
+        assert len(corpus) == 30
         ident = IntMatrix.identity(3)
-        for member in corpus.members:
+        for member in corpus:
             assert member.matrix @ member.matrix == ident
             assert invariants(validate_involution(member.matrix)) == member.invariants
 
@@ -353,7 +352,7 @@ class TestCorpus:
         # verifier's cost depends on these matrices
         digest = hashlib.sha256()
         for n in range(1, 11):
-            for member in involution_corpus(n, seed=7, count=1).members:
+            for member in involution_corpus(n, seed=7, count=1):
                 digest.update(repr(member.matrix.entries).encode())
         for cap in (0, 1, 2, 9, 32):
             for seed in range(5):
@@ -383,7 +382,7 @@ class TestTateInvariants:
 
     def test_matches_divisor_route(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 assert tate_invariants(member.matrix) == invariants(
                     validate_involution(member.matrix)
                 )

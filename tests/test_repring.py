@@ -9,13 +9,12 @@ from crystalk.repring import (
     DYADIC,
     MIN_MINUS,
     MIN_PLUS,
-    PrimeSite,
+    ODD_MINUS,
+    ODD_PLUS,
     RModuleSum,
     TABLE_ENV_VAR,
     load_tables,
     localize,
-    odd_minus,
-    odd_plus,
     rank,
     tensor,
     tor1,
@@ -30,7 +29,7 @@ ZERO = RModuleSum()
 
 BASIS = {"FreeR": FREE, "TrivZ": TRIV, "SignZ": SIGN, "TorF2": TOR}
 
-ALL_SITES = (MIN_PLUS, MIN_MINUS, DYADIC, odd_plus(3), odd_minus(3), odd_plus(5))
+ALL_SITES = (MIN_PLUS, MIN_MINUS, DYADIC, ODD_PLUS, ODD_MINUS)
 GOOD_SITES = tuple(s for s in ALL_SITES if s.kind != "Dyadic")
 
 
@@ -48,20 +47,9 @@ class TestRModuleSum:
 
 
 class TestPrimeSite:
-    def test_odd_sites_need_odd_primes(self):
-        with pytest.raises(ValueError):
-            odd_plus(4)
-        with pytest.raises(ValueError):
-            odd_minus(2)
-        with pytest.raises(ValueError):
-            odd_plus(9)
-
-    def test_minimal_sites_take_no_prime(self):
-        with pytest.raises(ValueError):
-            PrimeSite("MinPlus", 3)
-
     def test_labels(self):
-        assert odd_plus(3).label() == "OddPlus(3)"
+        assert ODD_PLUS.label() == "OddPlus(3)"
+        assert ODD_MINUS.label() == "OddMinus(3)"
         assert DYADIC.label() == "Dyadic"
 
 
@@ -127,50 +115,47 @@ class TestTensorAndTor:
 
 class TestLocalize:
     def test_sign_survives_on_its_branch(self):
-        shape = localize(SIGN, MIN_MINUS)
-        assert (shape.free_rank, shape.torsion_flag) == (1, False)
+        assert localize(SIGN, MIN_MINUS) == {
+            "site": "MinMinus",
+            "free_rank": 1,
+            "torsion_flag": False,
+        }
 
     def test_trivial_dies_on_the_opposite_branch(self):
-        assert localize(TRIV, MIN_MINUS).free_rank == 0
+        assert localize(TRIV, MIN_MINUS)["free_rank"] == 0
 
     def test_torsion_dies_at_odd_sites(self):
-        shape = localize(TOR, odd_plus(3))
-        assert (shape.free_rank, shape.torsion_flag) == (0, False)
+        shape = localize(TOR, ODD_PLUS)
+        assert (shape["free_rank"], shape["torsion_flag"]) == (0, False)
 
     def test_torsion_survives_only_at_the_dyadic_point(self):
         for site in ALL_SITES:
-            flag = localize(TOR, site).torsion_flag
+            flag = localize(TOR, site)["torsion_flag"]
             assert flag == (site.kind == "Dyadic")
 
     def test_dyadic_keeps_rank_one_classes_torsion_free(self):
         for m in (TRIV, SIGN, FREE):
             shape = localize(m, DYADIC)
-            assert shape.free_rank == 1
-            assert not shape.torsion_flag
-        assert "Z-rank 2" in localize(FREE, DYADIC).note
-
-    def test_odd_sites_independent_of_prime(self):
-        for m in BASIS.values():
-            a = localize(m, odd_plus(3))
-            b = localize(m, odd_plus(5))
-            assert (a.free_rank, a.torsion_flag) == (b.free_rank, b.torsion_flag)
+            assert shape["free_rank"] == 1
+            assert not shape["torsion_flag"]
+        assert "Z-rank 2" in localize(FREE, DYADIC)["note"]
 
     def test_additive_over_sums(self):
         m = RModuleSum(free=2, triv=3, sign=5, tor2=7)
         for site in ALL_SITES:
             total = sum(
-                m.multiplicity(name) * localize(BASIS[name], site).free_rank
+                m.multiplicity(name) * localize(BASIS[name], site)["free_rank"]
                 for name in CLASS_ORDER
             )
-            assert localize(m, site).free_rank == total
+            assert localize(m, site)["free_rank"] == total
 
     def test_kunneth_compatibility_at_good_sites(self):
         for x, y in itertools.product(CLASS_ORDER, repeat=2):
             for site in GOOD_SITES:
                 product_rank = (
-                    localize(BASIS[x], site).free_rank * localize(BASIS[y], site).free_rank
+                    localize(BASIS[x], site)["free_rank"] * localize(BASIS[y], site)["free_rank"]
                 )
-                assert localize(tensor(BASIS[x], BASIS[y]), site).free_rank == product_rank, (
+                assert localize(tensor(BASIS[x], BASIS[y]), site)["free_rank"] == product_rank, (
                     x,
                     y,
                     site.label(),
@@ -205,11 +190,11 @@ class TestMultOneMinusT:
         # localized at any site containing (t - 1), the endomorphism is
         # zero on trivial-class components: its image localizes to zero
         image = one_minus_t("TrivZ")[1].scale(4)
-        for site in (MIN_PLUS, DYADIC, odd_plus(3)):
-            assert localize(image, site).free_rank == 0
+        for site in (MIN_PLUS, DYADIC, ODD_PLUS):
+            assert localize(image, site)["free_rank"] == 0
         # and the sign part of a general image dies at the plus branch
         image = one_minus_t("FreeR")[1] + one_minus_t("TrivZ")[1].scale(2)
-        assert localize(image, MIN_PLUS).free_rank == 0
+        assert localize(image, MIN_PLUS)["free_rank"] == 0
 
 
 class TestFrozenTableFile:
@@ -254,9 +239,9 @@ class TestKunnethFailureAtPlusSites:
         orbit = TRIV
         product_theory = RModuleSum(triv=2)  # two free orbits
         site = MIN_PLUS
-        lhs = localize(product_theory, site).free_rank
-        tensor_part = localize(tensor(orbit, orbit), site).free_rank
-        tor_part = localize(tor1(orbit, orbit), site).free_rank
+        lhs = localize(product_theory, site)["free_rank"]
+        tensor_part = localize(tensor(orbit, orbit), site)["free_rank"]
+        tor_part = localize(tor1(orbit, orbit), site)["free_rank"]
         assert lhs == 2
         assert tensor_part + tor_part == 1
         assert lhs != tensor_part + tor_part

@@ -58,6 +58,6 @@ def test_modular_ranks_match_sympy(rows):
 def test_f3_ranks_of_involutions_are_the_ranks_over_q():
     for n in range(1, 7):
         ident = IntMatrix.identity(n)
-        for member in involution_corpus(n, seed=5, count=1).members:
+        for member in involution_corpus(n, seed=5, count=1):
             for shifted in (member.matrix - ident, member.matrix + ident):
                 assert f3_rank(shifted) == rank_exact(shifted)

@@ -2,11 +2,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalk.errors import ScopeError
 from crystalk.intlin import IntMatrix, exterior_trace_poly, random_unimodular
-from crystalk.lattice import ActionClass, canonical_matrix, classify, validate_involution
-from crystalk.oracle import involution_corpus
+from crystalk.lattice import (
+    ActionClass,
+    StructureInvariants,
+    canonical_matrix,
+    classify,
+    validate_involution,
+)
+from crystalk.oracle import involution_corpus, structure_classes, tate_invariants
 from crystalk.repring import RModuleSum
 from crystalk.toruskt import (
     CohomologyAction,
@@ -76,7 +83,7 @@ class TestFixedSet:
 
     def test_component_count_is_power_of_two(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 desc = fixed_set(validate_involution(member.matrix))
                 assert desc.components == 2**member.invariants.b
                 assert desc.dim == member.invariants.fixed_rank
@@ -101,14 +108,14 @@ class TestCohomologyInvariants:
 
     def test_halves_sum_correctly(self, small_corpora):
         for n, corpus in small_corpora.items():
-            for member in corpus.members:
+            for member in corpus:
                 act = cohomology_invariants(validate_involution(member.matrix))
                 assert act.even_inv + act.even_anti == 2 ** (n - 1)
                 assert act.odd_inv + act.odd_anti == 2 ** (n - 1)
 
     def test_matches_exterior_traces_beyond_oracle_bound(self):
         for n in range(9, 17):
-            for member in involution_corpus(n, seed=n, count=1).members:
+            for member in involution_corpus(n, seed=n, count=1):
                 lattice = validate_involution(member.matrix)
                 assert cohomology_invariants(lattice) == trace_route(member.matrix), n
 
@@ -124,7 +131,7 @@ class TestTwistedRanks:
 
     def test_hexagon_vanishes_on_corpora(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 assert hexagon_rank_sum(validate_involution(member.matrix)) == 0
 
 
@@ -146,7 +153,7 @@ class TestDelocalizedRanks:
     def test_conjugation_invariance(self, small_corpora):
         for corpus in small_corpora.values():
             by_class = {}
-            for member in corpus.members:
+            for member in corpus:
                 key = (member.invariants.a, member.invariants.b, member.invariants.c)
                 ranks = k_ranks_delocalized(validate_involution(member.matrix)).ranks
                 by_class.setdefault(key, set()).add(ranks)
@@ -154,18 +161,54 @@ class TestDelocalizedRanks:
                 assert len(values) == 1, (key, values)
 
 
+def closed_form_ranks(a, b, c):
+    """The README's closed forms, or None for the non-split class."""
+    n = a + b + 2 * c
+    if c:
+        return None
+    if b == 0:
+        return (2**n, 2**n)
+    if a == 0:
+        return (3 * 2 ** (n - 1), 0)
+    return (3 * 2 ** (n - 2), 3 * 2 ** (n - 2))
+
+
+class TestSweepToRank12:
+    # an n = 12 corpus takes about 40 ms to build, so 40 examples keep
+    # the sweep within a couple of seconds
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(st.sampled_from(structure_classes(n)), st.integers(0, 2**16))
+        )
+    )
+    def test_corpus_member_matches_its_class(self, case):
+        (a, b, c), seed = case
+        n = a + b + 2 * c
+        expected = StructureInvariants(a, b, c)
+        member = next(m for m in involution_corpus(n, seed, 1) if m.invariants == expected)
+        l = validate_involution(member.matrix)
+        assert l.analysis.invariants == expected
+        assert tate_invariants(member.matrix) == expected
+        ranks = closed_form_ranks(a, b, c)
+        if ranks is not None:
+            assert k_ranks_delocalized(l).ranks == ranks
+        flag = ScopeFlag.RATIONAL_ONLY if c else ScopeFlag.INTEGRAL_CERTIFIED
+        assert integral_k_theory(l).scope_flag is flag
+
+
 class TestKunnethAssembly:
     def test_rank_two_split(self):
         report = kunneth_assembly(PM)
         assert report.ranks == (3, 3)
         assert report.scope_flag is ScopeFlag.INTEGRAL_CERTIFIED
-        assert len(report.torsion_free_certificate.steps) == 5
+        assert len(report.certificate["steps"]) == 5
 
     def test_rank_three(self):
         assert kunneth_assembly(split_lat(3, 2)).ranks == (6, 6)
 
     def test_step_names_in_order(self):
-        names = [s.step for s in kunneth_assembly(PM).torsion_free_certificate.steps]
+        names = [s["step"] for s in kunneth_assembly(PM).certificate["steps"]]
         assert names == [
             "decomposition",
             "localized_kunneth",
@@ -185,17 +228,15 @@ class TestKunnethAssembly:
     def test_certificate_is_torsion_free(self):
         for n in range(2, 7):
             for r in range(1, n):
-                trace = kunneth_assembly(split_lat(n, r)).torsion_free_certificate
-                flags = collect_torsion_flags(trace)
+                certificate = kunneth_assembly(split_lat(n, r)).certificate
+                flags = collect_torsion_flags(certificate)
                 assert flags and not any(flags)
 
     def test_certificate_replays_identically(self):
         first = kunneth_assembly(split_lat(4, 2))
         second = kunneth_assembly(split_lat(4, 2))
         assert first == second
-        assert first.torsion_free_certificate.as_dict() == (
-            second.torsion_free_certificate.as_dict()
-        )
+        assert json.dumps(first.certificate) == json.dumps(second.certificate)
 
     def test_certificate_depends_only_on_invariants(self):
         p, p_inv = random_unimodular(3, seed=23, steps=12)
@@ -204,7 +245,7 @@ class TestKunnethAssembly:
 
     def test_matches_delocalized_route(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 l = validate_involution(member.matrix)
                 if classify(l) is ActionClass.MIXED_SPLIT:
                     assert kunneth_assembly(l).ranks == k_ranks_delocalized(l).ranks
@@ -224,7 +265,7 @@ class TestIntegralKTheory:
         assert report.ranks == (2, 2)
         assert report.scope_flag is ScopeFlag.RATIONAL_ONLY
         assert report.module_structure is None
-        assert report.torsion_free_certificate is None
+        assert report.certificate is None
 
     def test_trivial_module_structure(self):
         for n in (1, 3):
@@ -245,7 +286,7 @@ class TestIntegralKTheory:
 
     def test_free_class_has_no_odd_part(self, small_corpora):
         for n, corpus in small_corpora.items():
-            for member in corpus.members:
+            for member in corpus:
                 if member.invariants.b == n:
                     assert integral_k_theory(validate_involution(member.matrix)).k1 == 0
 
@@ -265,11 +306,11 @@ class TestGroupCstarK:
 
     def test_duality_preserves_certified_ranks(self, small_corpora):
         for corpus in small_corpora.values():
-            for member in corpus.members:
+            for member in corpus:
                 l = validate_involution(member.matrix)
                 torus = integral_k_theory(l)
                 cstar = build_report(l, "cstar")
-                if torus.torsion_free_certificate is not None:
+                if torus.certificate is not None:
                     assert cstar["ranks"] == {"k0": torus.k0, "k1": torus.k1}
                     assert cstar["scope_flag"] == torus.scope_flag.value
 
@@ -337,7 +378,7 @@ class TestReports:
     def test_reports_conjugation_invariant_outside_input_echo(self, small_corpora):
         for corpus in small_corpora.values():
             seen: dict[tuple[int, int, int], dict] = {}
-            for member in corpus.members:
+            for member in corpus:
                 report = build_report(validate_involution(member.matrix), kind="cstar")
                 report.pop("input")
                 key = (member.invariants.a, member.invariants.b, member.invariants.c)
