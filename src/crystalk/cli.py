@@ -14,8 +14,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import __version__, oracle
 from .errors import GridTooLargeError, InternalInvariantError, NotInvolutionError, ScopeError
@@ -61,8 +61,7 @@ VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     n: int
     rows: tuple[tuple[int, ...], ...]
@@ -127,7 +126,10 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply to parse") from None
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
         raise ValueError('expected a JSON object {"n": int, "matrix": [[int, ...], ...]}')
     n = doc["n"]
@@ -186,7 +188,8 @@ def _cache_lookup(path: str, key: str) -> tuple[dict, list[str]] | None:
                     if rec_key == key:
                         hit = report, _report_text(report)
                         break
-                except (ValueError, TypeError, KeyError):  # bad UTF-8, JSON, record or report
+                # bad UTF-8, JSON (RecursionError: nested too deeply), record or report
+                except (ValueError, RecursionError, TypeError, KeyError):
                     skipped += 1
     except FileNotFoundError:
         return None
@@ -275,7 +278,7 @@ def cmd_ranks(args: argparse.Namespace) -> int:
 def cmd_cstar(args: argparse.Namespace) -> int:
     lat = validate_involution(_load_matrix(args))
     if args.cache:
-        inv = lat.analysis.invariants.as_dict()
+        inv = lat.analysis.invariants._asdict()
         matrix_hash = _matrix_hash(lat.matrix)
         key_doc = {
             "command": "cstar",
@@ -343,6 +346,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("n must be at least 1")
     if n > VERIFY_MAX_N:
         raise ValueError(f"n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}")
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     if args.count > VERIFY_MAX_COUNT:
         raise ValueError(
             f"count = {args.count} exceeds the verify sweep maximum count <= {VERIFY_MAX_COUNT}"
@@ -397,7 +402,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
         rows.append(
             {
-                "invariants": inv.as_dict(),
+                "invariants": inv._asdict(),
                 "class": cls.value,
                 "scope_flag": report.scope_flag.value,
                 "ranks": {"k0": deloc.k0, "k1": deloc.k1},

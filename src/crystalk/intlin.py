@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import InternalInvariantError
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, row-major storage.
 
     >>> m = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -40,17 +39,14 @@ class IntMatrix:
     True
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self._set(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -154,8 +150,7 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.to_rows())
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
     The diagonal of D is nonnegative, each entry divides the next,

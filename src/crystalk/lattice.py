@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
@@ -41,21 +41,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvolutiveLattice:
+class InvolutiveLattice(Frozen):
     """Z^n together with a validated order-2 integer matrix action."""
 
-    n: int
-    matrix: IntMatrix
+    __slots__ = ("n", "matrix", "_analysis")
+    _fields = ("n", "matrix")  # the cached analysis stays out of ==, hash and repr
 
-    @cached_property
+    def __init__(self, n: int, matrix: IntMatrix) -> None:
+        self._set(n, matrix, None)
+
+    @property
     def analysis(self) -> LatticeAnalysis:
         """Structure of the action, computed once per lattice."""
-        return _analyse(self.matrix)
+        if self._analysis is None:
+            object.__setattr__(self, "_analysis", _analyse(self.matrix))
+        return self._analysis
 
 
-@dataclass(frozen=True)
-class StructureInvariants:
+class StructureInvariants(NamedTuple):
     """Multiplicities of trivial, sign, and regular summands.
 
     a + b + 2c equals the ambient rank; a + c is the rank of the fixed
@@ -70,9 +73,6 @@ class StructureInvariants:
     def fixed_rank(self) -> int:
         return self.a + self.c
 
-    def as_dict(self) -> dict[str, int]:
-        return {"a": self.a, "b": self.b, "c": self.c}
-
 
 class ActionClass(enum.Enum):
     TRIVIAL = "Trivial"
@@ -81,8 +81,7 @@ class ActionClass(enum.Enum):
     MIXED_NONSPLIT = "MixedNonSplit"
 
 
-@dataclass(frozen=True)
-class LatticeAnalysis:
+class LatticeAnalysis(NamedTuple):
     """Structure of the lattice, read off the ranks of A - I over F_2 and F_3.
 
     (a, b, c) fix the lattice up to isomorphism (Reiner 1957); the

@@ -24,9 +24,9 @@ different method at desk scale:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
@@ -261,8 +261,7 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
 # torus grid enumeration
 
 
-@dataclass(frozen=True)
-class FixedGridResult:
+class FixedGridResult(NamedTuple):
     components: int
     dim_estimate: int
     count: int
@@ -649,8 +648,7 @@ def tate_invariants(a: IntMatrix) -> StructureInvariants:
 # corpora
 
 
-@dataclass(frozen=True)
-class CorpusMember:
+class CorpusMember(NamedTuple):
     invariants: StructureInvariants
     matrix: IntMatrix
 

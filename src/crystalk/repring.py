@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
+from ._frozen import Frozen
 from .errors import TableIntegrityError
 
 __all__ = [
@@ -50,55 +51,37 @@ TABLE_ENV_VAR = "CRYSTALK_TABLE_PATH"
 _TABLE_RESOURCE = "repring_tables.json"
 
 
-@dataclass(frozen=True)
-class RModuleSum:
+class RModuleSum(Frozen):
     """Formal direct sum over the basis class, by multiplicity."""
 
-    free: int = 0
-    triv: int = 0
-    sign: int = 0
-    tor2: int = 0
+    __slots__ = _fields = ("free", "triv", "sign", "tor2")  # in CLASS_ORDER
 
-    def __post_init__(self) -> None:
-        if min(self.free, self.triv, self.sign, self.tor2) < 0:
+    def __init__(self, free: int = 0, triv: int = 0, sign: int = 0, tor2: int = 0) -> None:
+        if min(free, triv, sign, tor2) < 0:
             raise ValueError("multiplicities must be nonnegative")
+        self._set(free, triv, sign, tor2)
 
     def __add__(self, other: "RModuleSum") -> "RModuleSum":
-        return RModuleSum(
-            self.free + other.free,
-            self.triv + other.triv,
-            self.sign + other.sign,
-            self.tor2 + other.tor2,
-        )
+        return RModuleSum(*map(operator.add, self._values, other._values))
 
     def scale(self, k: int) -> "RModuleSum":
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
-        return RModuleSum(k * self.free, k * self.triv, k * self.sign, k * self.tor2)
+        return RModuleSum(*map(k.__mul__, self._values))
 
     @property
     def is_zero(self) -> bool:
         return self == RModuleSum()
 
     def multiplicity(self, name: str) -> int:
-        return {
-            "FreeR": self.free,
-            "TrivZ": self.triv,
-            "SignZ": self.sign,
-            "TorF2": self.tor2,
-        }[name]
+        return self._values[CLASS_ORDER.index(name)]
 
     def as_dict(self) -> dict[str, int]:
-        return {name: self.multiplicity(name) for name in CLASS_ORDER}
+        return dict(zip(CLASS_ORDER, self._values))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "RModuleSum":
-        return cls(
-            free=d.get("FreeR", 0),
-            triv=d.get("TrivZ", 0),
-            sign=d.get("SignZ", 0),
-            tor2=d.get("TorF2", 0),
-        )
+        return cls(*(d.get(name, 0) for name in CLASS_ORDER))
 
     def __str__(self) -> str:
         parts = [f"{name}^{m}" for name, m in self.as_dict().items() if m]
@@ -108,8 +91,7 @@ class RModuleSum:
 _SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")
 
 
-@dataclass(frozen=True)
-class PrimeSite:
+class PrimeSite(NamedTuple):
     """A prime of R: one of the two minimal primes, the dyadic point,
     or an odd maximal point on one of the two branches."""
 
@@ -150,11 +132,14 @@ def table_checksum(tables: Mapping) -> str:
 @lru_cache(maxsize=1)
 def load_tables() -> dict:
     """Load and checksum-verify the frozen module-arithmetic tables."""
-    doc = json.loads(_load_table_bytes())
-    tables = doc.get("tables")
-    recorded = doc.get("sha256")
-    if tables is None or recorded is None:
-        raise TableIntegrityError("table file missing 'tables' or 'sha256'")
+    try:
+        doc = json.loads(_load_table_bytes())
+        tables, recorded = doc["tables"], doc["sha256"]
+    except (ValueError, RecursionError, LookupError, TypeError) as exc:
+        raise TableIntegrityError(
+            "table file is not a UTF-8 JSON object with 'tables' and 'sha256' "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
     actual = table_checksum(tables)
     if actual != recorded:
         raise TableIntegrityError(

@@ -16,8 +16,7 @@ them against each other where both apply.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import InternalInvariantError, ScopeError
 from .lattice import ActionClass, InvolutiveLattice
@@ -63,16 +62,14 @@ class ScopeFlag(enum.Enum):
     RATIONAL_ONLY = "RationalOnly"
 
 
-@dataclass(frozen=True)
-class FixedSetDescription:
+class FixedSetDescription(NamedTuple):
     """Fixed set of the torus involution: 2^b affine subtori of dimension a+c."""
 
     dim: int
     components: int
 
 
-@dataclass(frozen=True)
-class CohomologyAction:
+class CohomologyAction(NamedTuple):
     """Dimensions of the (anti-)invariant parts of even/odd torus cohomology."""
 
     even_inv: int
@@ -81,8 +78,7 @@ class CohomologyAction:
     odd_anti: int
 
 
-@dataclass(frozen=True)
-class KRankReport:
+class KRankReport(NamedTuple):
     """Per-degree ranks plus, where validated, integral structure.
 
     ``certificate`` is the ``{"steps": [...]}`` object the report emits.
@@ -404,7 +400,7 @@ def structure_report(lat: InvolutiveLattice) -> dict:
     return {
         "spec_version": SPEC_VERSION,
         "input": {"n": lat.n, "matrix": lat.matrix.to_rows()},
-        "invariants": analysis.invariants.as_dict(),
+        "invariants": analysis.invariants._asdict(),
         "class": analysis.action_class.value,
         "fixed_set": {"dim": analysis.fixed_dim, "components": analysis.fixed_components},
     }

@@ -12,7 +12,7 @@ import crystalk
 from crystalk import oracle
 from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
-from crystalk.repring import _load_table_bytes
+from crystalk.repring import _load_table_bytes, load_tables
 from crystalk.toruskt import build_report
 
 PM = {"n": 2, "matrix": [[1, 0], [0, -1]]}
@@ -76,6 +76,14 @@ class TestClassify:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["classify", "--input", str(path)]) == 2
+
+    def test_deep_nesting_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "matrix": ' + "[" * 100_000)
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: input JSON is nested too deeply to parse\n"
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         assert main(["classify", "--input", write_input(tmp_path, {"n": 2})]) == 2
@@ -273,6 +281,17 @@ class TestCstar:
             assert capsys.readouterr().out == uncached
             assert cache.read_bytes() == written
 
+    def test_deeply_nested_cache_line_is_skipped(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("[" * 100_000 + "\n")
+        argv = ["cstar", "--catalog", "pm-type", "--format", "json"]
+        code, doc = run_json(capsys, argv + ["--cache", str(cache)])
+        assert code == 0
+        assert doc == run_json(capsys, argv)[1]
+        assert cache.read_text().count("\n") == 2
+        assert main(argv + ["--cache", str(cache)]) == 0
+        assert "skipped 1 unreadable line" in capsys.readouterr().err
+
     def test_record_is_one_append_write(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         writes = []
@@ -392,6 +411,14 @@ class TestVerify:
             f"count <= {VERIFY_MAX_COUNT}\n"
         )
 
+    def test_count_zero_exits_2_before_the_skip_notice(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
+        code = main(["verify", "--n", "11", "--skip-grid", "--count", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: count must be at least 1\n"
+
     def test_exterior_check_runs_at_its_bound(self, capsys):
         argv = ["verify", "--n", "10", "--skip-grid", "--seed", "7", "--count", "1"]
         code, doc = run_json(capsys, argv + ["--format", "json"])
@@ -439,6 +466,33 @@ class TestTableIntegrity:
         assert run.stderr.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"not json", "table file is not a UTF-8 JSON object"),
+            (b"\xff\xfe\x00", "table file is not a UTF-8 JSON object"),
+            (b"[1, 2]", "table file is not a UTF-8 JSON object"),
+            (b'{"tables": {}}', "table file is not a UTF-8 JSON object"),
+            (b'{"tables": {}, "sha256": "0"}', "table checksum mismatch: recorded 0,"),
+        ],
+        ids=["not-json", "not-utf8", "not-object", "no-checksum", "bad-checksum"],
+    )
+    def test_unreadable_table_file_exits_4(self, tmp_path, capsys, monkeypatch, payload, message):
+        bad = tmp_path / "tables.json"
+        bad.write_bytes(payload)
+        monkeypatch.setenv("CRYSTALK_TABLE_PATH", str(bad))
+        load_tables.cache_clear()
+        try:
+            code = main(["cstar", "--catalog", "pm-type"])
+        finally:
+            load_tables.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal invariant violation: {message}")
+        assert captured.err.count("\n") == 1
+
+
 class TestStartup:
     @pytest.mark.parametrize(
         "code",
@@ -458,3 +512,17 @@ class TestStartup:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.splitlines()[-1] == "False"
+
+    def test_cold_import_loads_no_dataclasses(self):
+        """The value records are NamedTuples and slotted classes, so importing
+        the CLI pulls in neither dataclasses nor the inspect module it loads."""
+        src = str(Path(crystalk.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import sys\nbefore = set(sys.modules)\nimport crystalk.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
