@@ -3,8 +3,9 @@
 Subcommands: classify | ranks | cstar | verify | catalog.  Input is a
 JSON object {"n": int, "matrix": [[int, ...], ...]} read from a file,
 from stdin, or taken from the built-in catalog.  Exit codes: 0 ok,
-2 input error, 3 invalid involution, 4 internal invariant violation,
-5 scope error.
+1 a bug (with a traceback), 2 input error (a file named on the command
+line that fails to open is one), 3 invalid involution, 4 internal
+invariant violation, 5 scope error, 141 the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import __version__, oracle
-from .errors import GridTooLargeError, InternalInvariantError, NotInvolutionError, ScopeError
+from .errors import CrystalkError, GridTooLargeError, InputError, InternalInvariantError
 from .intlin import IntMatrix
 from .lattice import ActionClass, validate_involution
 from .repring import _load_table_bytes, load_tables, table_checksum
@@ -34,10 +35,6 @@ from .toruskt import (
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NOT_INVOLUTION = 3
-EXIT_INVARIANT = 4
-EXIT_SCOPE = 5
 
 # json.loads + row checks + validate + build_report takes about 0.43 s at
 # n = 400 on a dense conjugated involution (entries up to about 500) and
@@ -115,48 +112,51 @@ def _catalog_by_name(name: str) -> CatalogEntry:
     for entry in CATALOG:
         if entry.name == name:
             return entry
-    raise ValueError(f"no catalog entry named {name!r}")
+    raise InputError(f"no catalog entry named {name!r}")
 
 
 def _load_matrix(args: argparse.Namespace) -> IntMatrix:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return _catalog_by_name(args.catalog).matrix
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
     except RecursionError:
-        raise ValueError("input JSON is nested too deeply to parse") from None
+        raise InputError("input JSON is nested too deeply to parse") from None
+    # bad UTF-8, bad JSON, or an integer literal over the digit limit
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
-        raise ValueError('expected a JSON object {"n": int, "matrix": [[int, ...], ...]}')
+        raise InputError('expected a JSON object {"n": int, "matrix": [[int, ...], ...]}')
     n = doc["n"]
     rows = doc["matrix"]
     # bool is a subclass of int but never a dimension
     if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InputError("n must be at least 1")
     if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the supported maximum n <= {MAX_N}")
+        raise InputError(f"n = {n} exceeds the supported maximum n <= {MAX_N}")
     if not isinstance(rows, list) or len(rows) != n:
-        raise ValueError(f"matrix must have n = {n} rows")
+        raise InputError(f"matrix must have n = {n} rows")
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != n:
             got = f"{len(row)} entries" if type(row) is list else f"{row!r:.40}"
-            raise ValueError(f"matrix row {i} must be a list of n = {n} integers, got {got}")
+            raise InputError(f"matrix row {i} must be a list of n = {n} integers, got {got}")
         # bool is a subclass of int but never an entry; the scan below only
         # runs to name the entry at fault
         if set(map(type, row)) != {int} or max(map(abs, row)).bit_length() > MAX_ENTRY_BITS:
             for j, x in enumerate(row):
                 if type(x) is not int:
-                    raise ValueError(
+                    raise InputError(
                         f"matrix entry [{i}][{j}] must be an integer, got {x!r:.40}"
                     )
                 if x.bit_length() > MAX_ENTRY_BITS:
-                    raise ValueError(
+                    raise InputError(
                         f"matrix entry [{i}][{j}] has {x.bit_length()} bits, "
                         f"over the cap of {MAX_ENTRY_BITS} bits"
                     )
@@ -343,26 +343,26 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InputError("n must be at least 1")
     if n > VERIFY_MAX_N:
-        raise ValueError(f"n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}")
+        raise InputError(f"n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}")
     if args.count < 1:
-        raise ValueError("count must be at least 1")
+        raise InputError("count must be at least 1")
     if args.count > VERIFY_MAX_COUNT:
-        raise ValueError(
+        raise InputError(
             f"count = {args.count} exceeds the verify sweep maximum count <= {VERIFY_MAX_COUNT}"
-        )
-    run_exterior = n <= oracle.EXTERIOR_MAX_DIM
-    if not run_exterior:
-        print(
-            f"exterior verifier skipped cleanly (bounded at n <= {oracle.EXTERIOR_MAX_DIM})",
-            file=sys.stderr,
         )
     run_grid = not args.skip_grid
     if n > VERIFY_GRID_MAX_N and run_grid:
         raise GridTooLargeError(
             f"grid verifier is bounded at n <= {VERIFY_GRID_MAX_N}; "
             f"pass --skip-grid to sweep n = {n} without it"
+        )
+    run_exterior = n <= oracle.EXTERIOR_MAX_DIM
+    if not run_exterior:
+        print(
+            f"exterior verifier skipped cleanly (bounded at n <= {oracle.EXTERIOR_MAX_DIM})",
+            file=sys.stderr,
         )
 
     corpus = oracle.involution_corpus(n, args.seed, args.count)
@@ -371,6 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     canonical_ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
+    by_class: dict[tuple[int, int, int], list[dict]] = {}  # rows, classes in first-seen order
     for member in corpus:
         lat = validate_involution(member.matrix)
         analysis = lat.analysis
@@ -410,6 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "ok": ok,
             }
         )
+        by_class.setdefault(key, []).append(rows[-1])
 
     payload = {
         "spec_version": SPEC_VERSION,
@@ -426,16 +428,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"members={len(corpus)}",
         f"frozen tables regenerate identically: {'yes' if tables_ok else 'NO'}",
     ]
-    seen: set[tuple[int, int, int]] = set()
-    for row in rows:
-        inv = row["invariants"]
-        key = (inv["a"], inv["b"], inv["c"])
-        if key in seen:
-            continue
-        seen.add(key)
-        status = "pass" if all(
-            r["ok"] for r in rows if tuple(r["invariants"].values()) == key
-        ) else "FAIL"
+    for members in by_class.values():
+        row, inv = members[0], members[0]["invariants"]
+        status = "pass" if all(r["ok"] for r in members) else "FAIL"
         lines.append(
             f"  (a={inv['a']} b={inv['b']} c={inv['c']})  {row['class']:15s} "
             f"{row['scope_flag']:18s} k0={row['ranks']['k0']:>5} "
@@ -458,13 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, with_catalog: bool = True) -> None:
+    def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--input", "-i", default="-",
             help="path to a JSON file {'n': ..., 'matrix': [[...]]}; '-' for stdin",
         )
-        if with_catalog:
-            p.add_argument("--catalog", help="use a named catalog entry as input")
+        p.add_argument("--catalog", help="use a named catalog entry as input")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_classify = sub.add_parser("classify", help="invariants, class, and fixed-set data")
@@ -504,20 +498,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotInvolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_INVOLUTION
-    except ScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    # ValueError covers NotSquareError, GridTooLargeError and json.JSONDecodeError
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except CrystalkError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except BrokenPipeError:
+        raise
+    # a file the user named: --input, --cache or CRYSTALK_TABLE_PATH
+    except OSError as exc:
+        print(f"{InputError.label}: {exc}", file=sys.stderr)
+        return InputError.exit_code
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly with the shell's code for a
+        # SIGPIPE death, and point stdout at devnull so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

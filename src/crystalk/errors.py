@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the CLI's exit code and the label that prefixes its
+one-line message, so ``cli.main`` needs one handler for all of them.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,23 @@ from __future__ import annotations
 class CrystalkError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 2
+    label = "input error"
 
-class NotSquareError(CrystalkError, ValueError):
+
+class InputError(CrystalkError, ValueError):
+    """The input from outside the program is malformed or over a bound."""
+
+
+class NotSquareError(InputError):
     """Raised when a square matrix is required but not supplied."""
 
 
 class NotInvolutionError(CrystalkError, ValueError):
     """Raised when A*A != I.  Carries the first offending entry."""
+
+    exit_code = 3
+    label = "error"
 
     def __init__(self, row: int, col: int, value: int, expected: int):
         self.row = row
@@ -28,17 +42,23 @@ class NotInvolutionError(CrystalkError, ValueError):
 class ScopeError(CrystalkError, ValueError):
     """Requested a pipeline outside its validated scope."""
 
+    exit_code = 5
+    label = "error"
 
-class DimensionTooLargeError(CrystalkError, ValueError):
+
+class DimensionTooLargeError(InputError):
     """Exterior-algebra verifier bound exceeded."""
 
 
-class GridTooLargeError(CrystalkError, ValueError):
+class GridTooLargeError(InputError):
     """Torus grid enumeration bound exceeded."""
 
 
 class InternalInvariantError(CrystalkError, RuntimeError):
     """A cross-check that should never fail did fail."""
+
+    exit_code = 4
+    label = "internal invariant violation"
 
 
 class TableIntegrityError(InternalInvariantError):

@@ -21,7 +21,6 @@ import json
 import operator
 import os
 from functools import lru_cache
-from importlib import resources
 from typing import Mapping, NamedTuple
 
 from ._frozen import Frozen
@@ -113,11 +112,11 @@ ODD_MINUS = PrimeSite("OddMinus", 3)
 
 
 def _load_table_bytes() -> bytes:
-    override = os.environ.get(TABLE_ENV_VAR)
-    if override:
-        with open(override, "rb") as fh:
-            return fh.read()
-    return (resources.files(__package__) / "data" / _TABLE_RESOURCE).read_bytes()
+    path = os.environ.get(TABLE_ENV_VAR) or os.path.join(
+        os.path.dirname(__file__), "data", _TABLE_RESOURCE
+    )
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def canonical_table_bytes(tables: Mapping) -> bytes:

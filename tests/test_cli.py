@@ -1,12 +1,15 @@
 import fcntl
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crystalk
 from crystalk import oracle
@@ -373,13 +376,16 @@ class TestVerify:
         flags = {row["class"]: row["scope_flag"] for row in doc["results"]}
         assert flags["MixedNonSplit"] == "RationalOnly"
 
-    def test_grid_bound_exits_2_and_skips_exterior_cleanly(self, capsys):
+    def test_grid_bound_exits_2_before_the_skip_notice(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
         code = main(["verify", "--n", "11", "--seed", "1", "--count", "1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "grid verifier" in captured.err
-        assert "exterior verifier skipped cleanly" in captured.err
         assert captured.out == ""
+        assert captured.err == (
+            "input error: grid verifier is bounded at n <= 6; "
+            "pass --skip-grid to sweep n = 11 without it\n"
+        )
 
     def test_json_past_exterior_bound_is_one_document(self, capsys):
         argv = ["verify", "--n", "11", "--skip-grid", "--seed", "1", "--count", "1"]
@@ -526,3 +532,106 @@ class TestStartup:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.splitlines()[-1] == "[]"
+
+
+# stdin for the fuzz below: JSON text built from fragments, so it can hold
+# what json.dumps never writes (duplicate keys, 5000-digit integers, nesting
+# past the parser's depth), optionally with invalid UTF-8 spliced in
+def json_object(members):
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in members) + "}"
+
+
+def json_array(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def splice(data, cut):
+    return data if cut is None else data[: cut[0]] + cut[1] + data[cut[0]:]
+
+
+LITERAL = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+        lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=8,
+    ).map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.sampled_from(["NaN", "-Infinity", "1e400", "true", "1" * 5000, "-" + "9" * 5000]),
+)
+ROW = st.lists(st.integers(-2, 2).map(str) | LITERAL, max_size=4).map(json_array)
+MATRIX = LITERAL | st.lists(ROW | LITERAL, max_size=4).map(json_array)
+MEMBER = st.one_of(
+    st.tuples(st.just("n"), st.integers(-1, 4).map(str) | LITERAL),
+    st.tuples(st.just("matrix"), MATRIX),
+    st.tuples(st.text(max_size=3), LITERAL),
+)
+SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+STDIN_TEXT = st.one_of(
+    LITERAL,
+    st.tuples(st.integers(1, 3), MATRIX, st.lists(MEMBER, max_size=2)).map(
+        lambda t: json_object([("n", str(t[0])), ("matrix", t[1]), *t[2]])
+    ),
+    SQUARE.map(lambda rows: json.dumps({"n": len(rows), "matrix": rows})),
+    st.sampled_from(CATALOG).map(lambda e: json.dumps({"n": e.n, "matrix": e.matrix.to_rows()})),
+)
+BAD_UTF8 = st.tuples(st.integers(0, 10**4), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+STDIN_BYTES = st.builds(splice, STDIN_TEXT.map(str.encode), st.none() | st.none() | st.none() | BAD_UTF8)
+
+
+def run_in_process(argv, stdin_bytes):
+    """cli.main with stdin read strictly as UTF-8; returns (code, stdout, stderr)."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodes:
+    @settings(max_examples=200)
+    @given(
+        stdin_bytes=STDIN_BYTES,
+        command=st.sampled_from(["classify", "ranks", "cstar"]),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    def test_any_stdin_gets_a_documented_exit_and_one_line(self, stdin_bytes, command, fmt):
+        code, out, err = run_in_process([command, "--format", fmt], stdin_bytes)
+        assert code in (0, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith(("input error: ", "error: matrix is not"))
+        elif fmt == "json":
+            json.loads(out)
+
+    def test_a_bug_propagates_instead_of_reading_as_an_input_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("k0")
+
+        monkeypatch.setattr(crystalk.cli, "build_report", broken)
+        with pytest.raises(KeyError, match="k0"):
+            main(["cstar", "--catalog", "pm-type"])
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["at-exit-flush", "inside-main"])
+    def test_closed_pipe_exits_141_quietly(self, flags):
+        """A reader that closed stdout is not an input error; with -u the
+        write fails inside cli.main, without it at the final flush."""
+        src = str(Path(crystalk.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "crystalk", "cstar", "--catalog", "pm-type",
+                 "--format", "json"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert run.stderr == b""
+        assert run.returncode == 141
