@@ -1,6 +1,8 @@
 """Exact integer linear algebra.
 
-Smith normal form with transformation matrices, integer kernels,
+Smith normal form with transformation matrices (and the inverse of
+the right one, so kernel coordinates need no second Smith form),
+integer kernels,
 an exact check of M·M = I on the nonzeros of each row, ranks over F_2
 and F_3 on bitmask rows (including the ranks of M - I and M + I of an
 involution over F_3), exterior-power trace polynomials, and seeded
@@ -23,6 +25,8 @@ __all__ = [
     "IntMatrix",
     "smith_normal_form",
     "kernel_basis",
+    "kernel_columns",
+    "kernel_coordinates",
     "express_in_basis",
     "inv_unimodular",
     "exterior_trace_poly",
@@ -154,13 +158,15 @@ class SmithDecomposition(NamedTuple):
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
     The diagonal of D is nonnegative, each entry divides the next,
-    and zeros trail.
+    and zeros trail.  ``V_inv`` is the exact inverse of V, built
+    alongside it, so V @ V_inv == I.
     """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     divisors: tuple[int, ...]
+    V_inv: IntMatrix
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -177,6 +183,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     d = m.to_rows()
     u = IntMatrix.identity(nr).to_rows()
     v = IntMatrix.identity(nc).to_rows()
+    # each column operation on V is mirrored as the inverse row operation on V^-1
+    v_inv = IntMatrix.identity(nc).to_rows()
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -187,6 +195,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(nc):
             v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def addmul_row(dst: int, src: int, q: int) -> None:
         drow, srow = d[dst], d[src]
@@ -201,6 +210,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             d[r][dst] += q * d[r][src]
         for r in range(nc):
             v[r][dst] += q * v[r][src]
+        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i: int) -> None:
         d[i] = [-x for x in d[i]]
@@ -279,6 +289,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         D=IntMatrix(nr, nc, tuple(x for row in d for x in row)),
         V=IntMatrix.from_rows(v),
         divisors=divisors,
+        V_inv=IntMatrix.from_rows(v_inv),
     )
 
 
@@ -289,13 +300,39 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     transform, so the lattice they span is automatically saturated in
     the ambient Z^cols.
     """
-    snf = smith_normal_form(m)
-    nonzero = sum(1 for x in snf.divisors if x)
-    idx = list(range(nonzero, m.cols))
-    entries = tuple(
-        snf.V.entry(i, j) for i in range(m.cols) for j in idx
-    )
-    return IntMatrix(m.cols, len(idx), entries)
+    return kernel_columns(smith_normal_form(m))
+
+
+def kernel_columns(snf: SmithDecomposition) -> IntMatrix:
+    """The kernel basis V[:, r:] of the matrix ``snf`` decomposes.
+
+    r counts the nonzero divisors; this is ``kernel_basis`` read off a
+    decomposition already at hand.
+    """
+    v = snf.V
+    r = sum(1 for x in snf.divisors if x)
+    entries = tuple(chain.from_iterable(row[r:] for row in v.to_rows()))
+    return IntMatrix(v.rows, v.cols - r, entries)
+
+
+def kernel_coordinates(snf: SmithDecomposition, vectors: IntMatrix) -> IntMatrix:
+    """Solve ``kernel_columns(snf) @ X = vectors`` for integer X.
+
+    Since V @ V_inv = I, each column y of ``vectors`` is V (V_inv y),
+    and its coordinates in the basis V are unique: y lies in the kernel
+    spanned by V[:, r:] exactly when rows :r of V_inv y are zero, and
+    its kernel coordinates are then rows r:.  That certificate is
+    checked, so no second Smith form is needed, as ``express_in_basis``
+    would take.  Raises ValueError for a column outside the kernel.
+    """
+    if snf.V.rows != vectors.rows:
+        raise ValueError("ambient dimensions differ")
+    r = sum(1 for x in snf.divisors if x)
+    c = vectors.cols
+    coords = (snf.V_inv @ vectors).entries
+    if any(coords[: r * c]):
+        raise ValueError("vector outside the kernel")
+    return IntMatrix(vectors.rows - r, c, coords[r * c :])
 
 
 def express_in_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:

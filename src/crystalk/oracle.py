@@ -10,13 +10,17 @@ different method at desk scale:
   integer check of M·M = I on the nonzeros; no trace and no eigenvalue
   count);
 * fixed-set component counts, from enumeration of rational torus
-  points clustered by an exact same-component certificate;
+  points clustered by an exact same-component certificate; the points
+  are joined from two half-grids on a shared key, and the counts and
+  labels stay exact because the fixed-point condition and the
+  certificate bits both split as sums of the two halves' residues;
 * the module-arithmetic tables, from explicit free resolutions over
   Z[t]/(t^2 - 1) realized as integer matrices, homology via Smith
   normal form; the (1 - t) column is regenerated and checksummed with
   the others although no package code reads it;
 * structure invariants, from the mod-2 quotients that define them, on
-  integer kernel bases from Smith normal form;
+  integer kernel bases from one Smith normal form per quotient, whose
+  V_inv gives the kernel coordinates;
 * seeded corpora of conjugated involutions for property sweeps, built
   from seeded unimodular matrices and their exact inverses.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt, prod
 from typing import NamedTuple
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
@@ -37,7 +42,8 @@ from .intlin import (
     _residue_masks,
     express_in_basis,
     inv_unimodular,
-    kernel_basis,
+    kernel_columns,
+    kernel_coordinates,
     random_unimodular,
     smith_normal_form,
 )
@@ -278,12 +284,35 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     space membership.  The dimension is estimated from the growth of
     the fixed-point count between grids d and 2d.
 
-    Both grids come from one pass over w in {0..2d-1}^n with residues
-    r = (A - I)w mod 4d: w is fixed on the 2d grid when r = 0 mod 2d,
-    and at the even points w = 2v (the d grid) the certificate bits
+    Both grids come from w in {0..2d-1}^n with residues r = (A - I)w
+    mod 4d: w is fixed on the 2d grid when r = 0 mod 2d, and at the
+    even points w = 2v (the d grid) the certificate bits
     ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.  The coefficients of
     A - I are reduced mod 4d as Python integers before numpy sees them,
     so entries of any size are enumerated exactly.
+
+    The grid is not swept point by point but joined from two half-grids
+    (meet in the middle): every w is u + v for exactly one u on the
+    first side and one v on the second, so r is the sum of their
+    residues R1(u) and R2(v) mod 4d.  The first side spans the first
+    n // 2 coordinates and the second the last n // 2; for odd n the
+    middle coordinate is written as lo + step·hi, with step an even
+    divisor of 2d near its square root, and its two digits go one to
+    each side.  Since step is even, w is even exactly when both u and v
+    are.  Split each residue as R = 2d·q + s with 0 <= s < 2d.  Then w
+    is fixed exactly when s2 = -s1 mod 2d in every row, so the key
+    -s1 mod 2d of u must equal the key s2 of v, and the fixed counts on
+    both grids are sums over shared keys of the two sides' point
+    counts (all points, and even points).  At a fixed point s1 + s2 is
+    0 when s1 = 0 and 2d otherwise, so floor(r / 2d) mod 2 is
+    Q1(u) xor Q2(v) with Q1 = (q1 + [s1 != 0]) mod 2 and
+    Q2 = q2 mod 2.  Reduction modulo the mod-2 column space is linear,
+    so each even fixed point's label is the xor of its two halves'
+    reduced labels, and the component labels are those xors over all
+    pairs of even points with a shared key.  Every fixed point is
+    counted once and every label is exact, while each side holds about
+    (2d)^(n/2) points instead of the (2d)^n of a sweep (more for odd n
+    when 2d has no divisor near its square root).
 
     ``d`` must be even so that every component (an affine translate by
     a half-integer vector) meets the grid.
@@ -300,40 +329,93 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     if (2 * d) ** n > GRID_SWEEP_BOUND:
         raise GridTooLargeError("doubled grid for the dimension estimate is too large")
     m_int = a - IntMatrix.identity(n)
-    rows = m_int.to_rows()
 
     # column space of (A - I) mod 2, as bitmasks
     basis = _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose()))
 
     half, mod = 2 * d, 4 * d
-    # a sum of n residues below 4d never wraps in this dtype
-    dtype = np.min_scalar_type(n * (mod - 1))
-    evens = (slice(None, None, 2),) * n
-    # even-length runs of first coordinates, about 2^18 points each, bound memory
-    step = max(2, (1 << 18) // half ** (n - 1) // 2 * 2)
-    rest = [np.arange(half, dtype=np.int64) for _ in range(n - 1)]
-    labels: set[int] = set()
-    count = count_double = 0
-    for lo in range(0, half, step):
-        grid = np.ix_(np.arange(lo, min(lo + step, half), dtype=np.int64), *rest)
-        fixed = np.ones([g.size for g in grid], dtype=bool)
-        quotient_bits = np.zeros(fixed[evens].shape, dtype=np.int64)
-        for i, row in enumerate(rows):
-            # a zero coefficient leaves r constant along its axis
-            r = np.zeros((1,) * n, dtype=dtype)
-            for c, g in zip(row, grid):
-                if c % mod:
-                    r = r + (c % mod * g % mod).astype(dtype)
-            fixed &= r % half == 0
-            quotient_bits |= (r[evens] // half & 1).astype(np.int64) << i
-        count += int(np.count_nonzero(fixed[evens]))
-        count_double += int(np.count_nonzero(fixed))
-        bits = quotient_bits[fixed[evens]]
+    # column j of A - I, reduced mod 4d, as a column vector
+    cols = [
+        np.array([x % mod for x in m_int.column(j)], dtype=np.int64).reshape(n, 1)
+        for j in range(n)
+    ]
+    # each side's digits, as (coefficients mod 4d, radix, whether the parity counts)
+    k = n // 2
+    first = [(cols[j], half, True) for j in range(k)]
+    second = [(cols[j], half, True) for j in range(n - k, n)]
+    if n % 2:
+        # coordinate k is split as lo + step·hi with step even, so its parity
+        # is that of lo; step·(2d / step) = 2d factors as near its root as it
+        # can, and the larger factor goes to the second side, which is only
+        # searched, not sorted
+        low = max(x for x in range(1, isqrt(half) + 1) if half % x == 0)
+        step = low if low % 2 == 0 else half // low
+        parts = sorted(
+            [(cols[k] * step % mod, half // step, False), (cols[k], step, True)],
+            key=lambda part: part[1],
+        )
+        first.append(parts[0])
+        second.insert(0, parts[1])
+
+    def side(digits):
+        """R mod 4d, one row per row of A - I, and which points are even,
+        over every point of one side in C order."""
+        size = prod(radix for _, radix, _ in digits)
+        flat = np.arange(size, dtype=np.int64)
+        r = np.zeros((n, size), dtype=np.int64)
+        even = np.ones(size, dtype=bool)
+        place = 1
+        for col, radix, parity in reversed(digits):
+            x = flat // place % radix
+            # each term is below 4d · 2d, so for d^n <= GRID_POINT_BOUND the sum fits
+            r += col * x
+            if parity:
+                even &= x & 1 == 0
+            place *= radix
+        return r % mod, even
+
+    def pack(s):
+        """One integer per point from its n residues mod 2d; (2d)^n is
+        within GRID_SWEEP_BOUND."""
+        key = s[-1]
+        for row in s[-2::-1]:
+            key = key * half + row
+        return key
+
+    def labels(q):
+        """Certificate bits per point as a bitmask, reduced modulo the column space."""
+        bits = q[0].copy()
+        for i in range(1, n):
+            bits |= q[i] << i
         for b in basis:
-            p = b.bit_length() - 1
-            hit = ((bits >> p) & 1).astype(bool)
-            bits[hit] ^= b
-        labels.update(int(x) for x in np.unique(bits))
+            bits ^= (bits >> (b.bit_length() - 1) & 1) * b
+        return bits
+
+    r1, even1 = side(first)
+    r2, even2 = side(second)
+    keys, at1 = np.unique(pack(-r1 % half), return_inverse=True)
+    key2 = pack(r2 % half)
+    at2 = np.searchsorted(keys, key2)
+    shared = keys.take(at2, mode="clip") == key2
+    at2, r2, even2 = at2[shared], r2[:, shared], even2[shared]
+    r1, at1_even, r2, at2_even = r1[:, even1], at1[even1], r2[:, even2], at2[even2]
+
+    def counts(at):
+        return np.bincount(at, minlength=keys.size)
+
+    count_double = int(counts(at1) @ counts(at2))
+    count = int(counts(at1_even) @ counts(at2_even))
+
+    # distinct (key, label) pairs of each side's even points, joined on the key
+    pairs1 = np.unique(at1_even << n | labels((r1 // half + (r1 % half != 0)) & 1))
+    pairs2 = np.unique(at2_even << n | labels(r2 // half & 1))
+    by_key: dict[int, list[int]] = {}
+    mask = (1 << n) - 1
+    for pair in pairs1.tolist():
+        by_key.setdefault(pair >> n, []).append(pair & mask)
+    components = {
+        l1 ^ (pair & mask) for pair in pairs2.tolist() for l1 in by_key.get(pair >> n, ())
+    }
     if count == 0:
         raise InternalInvariantError("origin is always a fixed point")
 
@@ -343,7 +425,7 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
             f"fixed-point growth {count} -> {count_double} is not a power of 2"
         )
     return FixedGridResult(
-        components=len(labels),
+        components=len(components),
         dim_estimate=ratio.bit_length() - 1,
         count=count,
         count_double=count_double,
@@ -437,21 +519,18 @@ def _label_free_lattice(t_action: IntMatrix) -> dict[str, int]:
     return out
 
 
-def _homology_label(
-    dim: int, d_out: IntMatrix | None, d_in: IntMatrix, t_big: IntMatrix
-) -> dict[str, int]:
-    """Class-labelled homology ker(d_out)/im(d_in) with its t-action."""
-    if d_out is None:
-        kern = IntMatrix.identity(dim)
-    else:
-        kern = kernel_basis(d_out)
+def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict[str, int]:
+    """Class-labelled homology ker(d_out)/im(d_in) with its t-action.
+
+    One Smith form of d_out gives the kernel basis and, through its
+    V_inv, the coordinates of im(d_in) and of t on that kernel.
+    """
+    snf_out = smith_normal_form(d_out)
+    kern = kernel_columns(snf_out)
     r = kern.cols
     if r == 0:
         return {}
-    if d_in.cols == 0:
-        x = IntMatrix(r, 0, ())
-    else:
-        x = express_in_basis(kern, d_in)
+    x = kernel_coordinates(snf_out, d_in)
     snf = smith_normal_form(x)
     torsion = [d for d in snf.divisors if d >= 2]
     for d in torsion:
@@ -464,7 +543,7 @@ def _homology_label(
     if torsion:
         out["TorF2"] = len(torsion)
     if free_idx:
-        t_k = express_in_basis(kern, t_big @ kern)
+        t_k = kernel_coordinates(snf_out, t_big @ kern)
         t_y = snf.U @ t_k @ inv_unimodular(snf.U)
         t_h = IntMatrix.from_rows([[t_y.entry(i, j) for j in free_idx] for i in free_idx])
         for name, mult in _label_free_lattice(t_h).items():
@@ -499,14 +578,15 @@ def resolution_module_class(m_class: str, n_class: str, degree: int) -> dict[str
 
     rep = _REPS[n_class]
     dim = _res_rank(m_class, degree) * rep.rows
-    d_out = None
+    # degree 0 maps to nothing, so every chain is a cycle
+    d_out = IntMatrix(0, dim, ())
     if degree > 0:
         d_out = _tensor_int(_res_differential(m_class, degree), rep)
     d_in = _tensor_int(_res_differential(m_class, degree + 1), rep)
     # t acting on each copy: the diagonal group-ring matrix t·I
     rank = _res_rank(m_class, degree)
     t_big = _tensor_int([[(0, int(i == j)) for j in range(rank)] for i in range(rank)], rep)
-    return _homology_label(dim, d_out, d_in, t_big)
+    return _homology_label(d_out, d_in, t_big)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +633,12 @@ def _one_minus_t_cell(name: str) -> dict:
     rep = _REPS[name]
     dim = rep.rows
     m1 = IntMatrix.identity(dim) - rep
-    kern = kernel_basis(m1)
+    snf = smith_normal_form(m1)
+    kern = kernel_columns(snf)
     if kern.cols:
-        kernel = _label_free_lattice(express_in_basis(kern, rep @ kern))
+        kernel = _label_free_lattice(kernel_coordinates(snf, rep @ kern))
     else:
         kernel = {}
-    snf = smith_normal_form(m1)
     s = sum(1 for d in snf.divisors if d)
     if s:
         mv = m1 @ snf.V
@@ -582,7 +662,7 @@ def regenerate_tables() -> dict:
     """Recompute the full module-arithmetic tables from resolutions.
 
     Symmetry of the tensor and Tor tables is verified by computing
-    each pair in both orders.
+    each pair of distinct classes in both orders.
     """
     tensor_table: dict[str, dict[str, int]] = {}
     tor_table: dict[str, dict[str, int]] = {}
@@ -590,7 +670,7 @@ def regenerate_tables() -> dict:
         for y in CLASS_ORDER[i:]:
             for degree, table in ((0, tensor_table), (1, tor_table)):
                 fwd = resolution_module_class(x, y, degree)
-                bwd = resolution_module_class(y, x, degree)
+                bwd = fwd if x == y else resolution_module_class(y, x, degree)
                 if fwd != bwd:
                     raise InternalInvariantError(
                         f"asymmetric degree-{degree} answer for {x}, {y}: {fwd} vs {bwd}"
@@ -622,6 +702,16 @@ def render_table_file_bytes() -> bytes:
 # structure invariants by their defining quotients
 
 
+def _tate_dimension(m: IntMatrix, image: IntMatrix) -> int:
+    """Dimension over F_2 of ker(m) / (image Z^n + 2 ker(m)), from one Smith form of m.
+
+    The columns of ``image`` must lie in ker(m); their coordinates in
+    the kernel basis come with that certificate (``kernel_coordinates``).
+    """
+    coords = kernel_coordinates(smith_normal_form(m), image)
+    return coords.rows - _gf2_rank_rows(coords)
+
+
 def tate_invariants(a: IntMatrix) -> StructureInvariants:
     """(a, b, c) from the mod-2 quotients ker(A -+ I)/(A +- I)Z^n.
 
@@ -632,12 +722,8 @@ def tate_invariants(a: IntMatrix) -> StructureInvariants:
     validate_involution(a)
     n = a.rows
     ident = IntMatrix.identity(n)
-    fixed = kernel_basis(a - ident)
-    norm_in_fixed = express_in_basis(fixed, a + ident)
-    a_dim = fixed.cols - _gf2_rank_rows(norm_in_fixed)
-    anti = kernel_basis(a + ident)
-    twist_in_anti = express_in_basis(anti, a - ident)
-    b_dim = anti.cols - _gf2_rank_rows(twist_in_anti)
+    a_dim = _tate_dimension(a - ident, a + ident)
+    b_dim = _tate_dimension(a + ident, a - ident)
     c2, rem = divmod(n - a_dim - b_dim, 2)
     if rem:
         raise InternalInvariantError("Tate dimensions violate a + b + 2c = n")

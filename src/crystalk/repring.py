@@ -112,11 +112,21 @@ ODD_MINUS = PrimeSite("OddMinus", 3)
 
 
 def _load_table_bytes() -> bytes:
-    path = os.environ.get(TABLE_ENV_VAR) or os.path.join(
-        os.path.dirname(__file__), "data", _TABLE_RESOURCE
-    )
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The table file's bytes, from ``CRYSTALK_TABLE_PATH`` or the package.
+
+    A file the user named that cannot be read raises its ``OSError``; a
+    packaged file that cannot be read is a broken install, not an input
+    fault, and raises ``TableIntegrityError``.
+    """
+    named = os.environ.get(TABLE_ENV_VAR)
+    if named:
+        with open(named, "rb") as fh:
+            return fh.read()
+    try:
+        with open(os.path.join(os.path.dirname(__file__), "data", _TABLE_RESOURCE), "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise TableIntegrityError(f"packaged table file cannot be read: {exc}") from None
 
 
 def canonical_table_bytes(tables: Mapping) -> bytes:

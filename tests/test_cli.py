@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -471,6 +472,49 @@ class TestTableIntegrity:
         )
         assert run.stderr.count("\n") == 1
 
+
+    @pytest.mark.parametrize(
+        "argv, named, code, message",
+        [
+            (
+                ["cstar", "--catalog", "pm-type"],
+                None,
+                4,
+                "internal invariant violation: packaged table file cannot be read: [Errno 2]",
+            ),
+            (
+                ["verify", "--n", "2", "--count", "1"],
+                None,
+                4,
+                "internal invariant violation: packaged table file cannot be read: [Errno 2]",
+            ),
+            (["cstar", "--catalog", "pm-type"], "missing.json", 2, "input error: [Errno 2]"),
+        ],
+        ids=["cstar", "verify", "named-file"],
+    )
+    def test_table_file_that_cannot_be_opened(self, tmp_path, argv, named, code, message):
+        # a copy of the package without its table file; a table file the user
+        # names that cannot be read stays an input error
+        shutil.copytree(
+            Path(crystalk.__file__).parent,
+            tmp_path / "crystalk",
+            ignore=shutil.ignore_patterns("__pycache__", "repring_tables.json"),
+        )
+        env = {k: v for k, v in os.environ.items() if k != "CRYSTALK_TABLE_PATH"}
+        env["PYTHONPATH"] = str(tmp_path)
+        if named:
+            env["CRYSTALK_TABLE_PATH"] = str(tmp_path / named)
+        run = subprocess.run(
+            [sys.executable, "-m", "crystalk", *argv],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == code
+        assert run.stdout == ""
+        assert run.stderr.startswith(message)
+        assert run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "payload, message",

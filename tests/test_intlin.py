@@ -10,6 +10,8 @@ from crystalk.intlin import (
     first_row_off_identity_square,
     inv_unimodular,
     kernel_basis,
+    kernel_columns,
+    kernel_coordinates,
     random_unimodular,
     smith_normal_form,
 )
@@ -76,6 +78,7 @@ class TestSmithNormalForm:
         snf = smith_normal_form(m)
         assert (snf.D.rows, snf.D.cols) == (m.rows, m.cols)
         assert snf.U @ m @ snf.V == snf.D
+        assert snf.V @ snf.V_inv == IntMatrix.identity(m.cols)
         assert snf.divisors == ()
 
     @given(small_matrices, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
@@ -97,6 +100,7 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, m):
         snf = smith_normal_form(m)
         assert snf.U @ m @ snf.V == snf.D
+        assert snf.V @ snf.V_inv == IntMatrix.identity(m.cols)
         assert abs(snf.U.det()) == 1
         assert abs(snf.V.det()) == 1
         divs = snf.divisors
@@ -133,6 +137,29 @@ class TestKernelBasis:
         if k.cols:
             # primitive basis: all invariant factors are 1
             assert smith_normal_form(k).divisors == (1,) * k.cols
+
+
+class TestKernelCoordinates:
+    @given(small_matrices, st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+    def test_match_express_in_basis(self, m, coeffs):
+        snf = smith_normal_form(m)
+        k = kernel_columns(snf)
+        assert k == kernel_basis(m)
+        # two combinations of the kernel basis, read back through V_inv
+        x = IntMatrix(k.cols, 2, tuple(coeffs[: 2 * k.cols]))
+        assert kernel_coordinates(snf, k @ x) == x
+        if k.cols:
+            assert kernel_coordinates(snf, k @ x) == express_in_basis(k, k @ x)
+
+    def test_outside_the_kernel_raises(self):
+        snf = smith_normal_form(SWAP - IntMatrix.identity(2))
+        assert kernel_coordinates(snf, mat([[3], [3]])).to_rows() in ([[3]], [[-3]])
+        with pytest.raises(ValueError, match="^vector outside the kernel$"):
+            kernel_coordinates(snf, mat([[1, 1], [1, 0]]))
+
+    def test_ambient_dimensions_must_agree(self):
+        with pytest.raises(ValueError):
+            kernel_coordinates(smith_normal_form(SWAP), mat([[1]]))
 
 
 class TestExteriorTracePoly:

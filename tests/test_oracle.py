@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crystalk import oracle
 from crystalk.errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
@@ -273,6 +273,51 @@ class TestFixedGrid:
         a = mat(rows)
         assert validate_involution(a).n == len(rows)
         assert grid_by_enumeration(a, d) == fixed_grid_components(a, d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 10),
+                # an elementary conjugator I + t·E_ij with t above 2^64
+                st.none()
+                | st.tuples(
+                    st.integers(2**64 + 1, 2**70),
+                    st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]),
+                )
+                if n > 1
+                else st.none(),
+                st.just(n),
+            )
+        ),
+        st.sampled_from([2, 4, 6]),
+    )
+    def test_grid_matches_enumeration_on_corpus_members(self, draw, d):
+        seed, index, conjugator, n = draw
+        corpus = involution_corpus(n, seed, 1)
+        a = corpus[index % len(corpus)].matrix
+        if conjugator:
+            t, (i, j) = conjugator
+            p = [[int(r == c) for c in range(n)] for r in range(n)]
+            p_inv = [row[:] for row in p]
+            p[i][j], p_inv[i][j] = t, -t
+            a = mat(p) @ a @ mat(p_inv)
+        assert fixed_grid_components(a, d) == grid_by_enumeration(a, d)
+
+    @pytest.mark.parametrize(
+        "a, d, expected",
+        [
+            # 2d = 2·10^6 is split into digits of 1600 and 1250 values
+            (mat([[-1]]), 10**6, FixedGridResult(2, 0, 2, 2)),
+            (mat([[1]]), 10**6, FixedGridResult(1, 1, 10**6, 2 * 10**6)),
+            # every point of both grids is fixed, and every label is 0
+            (IntMatrix.identity(8), 4, FixedGridResult(1, 8, 4**8, 8**8)),
+        ],
+        ids=["reflection-n1", "identity-n1", "identity-n8"],
+    )
+    def test_extreme_grids(self, a, d, expected):
+        assert fixed_grid_components(a, d) == expected
 
     def test_rank_seven_corpus_member(self):
         # 8^7 doubled points, enumerated in several slices of the first coordinate

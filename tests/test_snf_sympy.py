@@ -37,6 +37,7 @@ def test_divisors_match_sympy_invariant_factors(rows):
     expected = tuple(abs(int(x)) for x in invariant_factors(Matrix(rows), domain=ZZ))
     assert snf.divisors == expected
     assert snf.U @ m @ snf.V == snf.D
+    assert snf.V @ snf.V_inv == IntMatrix.identity(m.cols)
     assert abs(snf.U.det()) == abs(snf.V.det()) == 1
     diag = [[snf.divisors[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
     assert snf.D == IntMatrix.from_rows(diag)
