@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
-Smith normal form with transformation matrices (and the inverse of
-the right one, so kernel coordinates need no second Smith form),
-integer kernels,
-an exact check of M·M = I on the nonzeros of each row, ranks over F_2
-and F_3 on bitmask rows (including the ranks of M - I and M + I of an
+Smith normal form with transformation matrices and the inverse of
+the right one, built alongside it: every exact inverse the package
+needs is read off the transform that built it, so no solve runs a
+second Smith form.  Integer kernels and kernel coordinates, an exact
+check of M·M = I on the nonzeros of each row, ranks over F_2 and F_3
+on bitmask rows (including the ranks of M - I and M + I of an
 involution over F_3), exterior-power trace polynomials, and seeded
 unimodular matrices with their inverses.  Every operation works on
 arbitrary-precision Python integers; nothing in this module touches
@@ -24,11 +25,8 @@ from .errors import InternalInvariantError
 __all__ = [
     "IntMatrix",
     "smith_normal_form",
-    "kernel_basis",
     "kernel_columns",
     "kernel_coordinates",
-    "express_in_basis",
-    "inv_unimodular",
     "exterior_trace_poly",
     "first_row_off_identity_square",
     "random_unimodular",
@@ -293,21 +291,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     )
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a primitive basis of the integer kernel lattice.
-
-    The basis columns are columns of the (unimodular) right Smith
-    transform, so the lattice they span is automatically saturated in
-    the ambient Z^cols.
-    """
-    return kernel_columns(smith_normal_form(m))
-
-
 def kernel_columns(snf: SmithDecomposition) -> IntMatrix:
     """The kernel basis V[:, r:] of the matrix ``snf`` decomposes.
 
-    r counts the nonzero divisors; this is ``kernel_basis`` read off a
-    decomposition already at hand.
+    r counts the nonzero divisors.  The columns are columns of the
+    unimodular V, so the lattice they span is saturated in Z^cols.
     """
     v = snf.V
     r = sum(1 for x in snf.divisors if x)
@@ -322,8 +310,8 @@ def kernel_coordinates(snf: SmithDecomposition, vectors: IntMatrix) -> IntMatrix
     and its coordinates in the basis V are unique: y lies in the kernel
     spanned by V[:, r:] exactly when rows :r of V_inv y are zero, and
     its kernel coordinates are then rows r:.  That certificate is
-    checked, so no second Smith form is needed, as ``express_in_basis``
-    would take.  Raises ValueError for a column outside the kernel.
+    checked, so the solve costs one product and no second Smith form.
+    Raises ValueError for a column outside the kernel.
     """
     if snf.V.rows != vectors.rows:
         raise ValueError("ambient dimensions differ")
@@ -333,49 +321,6 @@ def kernel_coordinates(snf: SmithDecomposition, vectors: IntMatrix) -> IntMatrix
     if any(coords[: r * c]):
         raise ValueError("vector outside the kernel")
     return IntMatrix(vectors.rows - r, c, coords[r * c :])
-
-
-def express_in_basis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-    """Solve basis @ X = vectors for integer X.
-
-    Requires the columns of ``basis`` to be linearly independent.
-    Raises ValueError if some column of ``vectors`` has no integral
-    coordinates in the basis (outside the span, or of the wrong index).
-    """
-    if basis.rows != vectors.rows:
-        raise ValueError("ambient dimensions differ")
-    snf = smith_normal_form(basis)
-    r = basis.cols
-    if len(snf.divisors) < r or any(d == 0 for d in snf.divisors):
-        raise ValueError("basis columns are not linearly independent")
-    um = snf.U @ vectors
-    ncols = vectors.cols
-    top: list[int] = []
-    for i in range(r):
-        d = snf.divisors[i]
-        for j in range(ncols):
-            q, rem = divmod(um.entry(i, j), d)
-            if rem:
-                raise ValueError("vector has no integral coordinates in the basis")
-            top.append(q)
-    for i in range(r, basis.rows):
-        for j in range(ncols):
-            if um.entry(i, j) != 0:
-                raise ValueError("vector outside the span of the basis")
-    return snf.V @ IntMatrix(r, ncols, tuple(top))
-
-
-def inv_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    snf = smith_normal_form(m)
-    if snf.divisors != (1,) * m.rows:
-        raise ValueError("matrix is not unimodular")
-    inv = snf.V @ snf.U
-    if (m @ inv) != IntMatrix.identity(m.rows):
-        raise InternalInvariantError("unimodular inverse check failed")
-    return inv
 
 
 def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:

@@ -3,9 +3,11 @@
 An involution A on Z^n decomposes the lattice into trivial summands Z
 (A acts as +1), sign summands Z (A acts as -1), and regular summands
 Z^2 carried by the coordinate swap.  This module validates involutions,
-computes the multiplicities (a, b, c) of those three summands, sorts
-actions into four classes, and produces an explicit unimodular change
-of basis to the canonical block-diagonal form.
+computes the multiplicities (a, b, c) of those three summands from
+ranks over F_2 and F_3, sorts actions into four classes, and produces
+an explicit unimodular change of basis U to the canonical
+block-diagonal form T from two Smith forms, certified by A·U = U·T and
+|det U| = 1 with no inverse computed.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .intlin import (
     _gf2_basis,
     _residue_masks,
     first_row_off_identity_square,
-    inv_unimodular,
-    kernel_basis,
     smith_normal_form,
 )
 
@@ -195,14 +195,26 @@ def canonical_matrix(a: int, b: int, c: int) -> IntMatrix:
 def decompose(lat: InvolutiveLattice) -> tuple[IntMatrix, tuple[Block, ...]]:
     """Unimodular U with U^-1 A U in canonical block-diagonal form.
 
-    Construction: extend a primitive basis of the fixed sublattice
-    ker(A - I) to a basis of Z^n.  In that basis A takes the shape
-    [[I, B], [0, -I]] because the quotient lattice carries a
-    fixed-point-free involution, which for order 2 forces -I.  The
-    coupling block B can be normalized by unimodular row and column
-    operations plus even shifts to a 0/1 block whose mod-2 rank is the
-    regular multiplicity c; each surviving 1 pairs a fixed vector with
-    a sign vector into one swap block.
+    Construction, from two Smith forms and no inverse solver:
+
+    * The Smith form of A - I.  Its right transform V is unimodular and
+      its last r = a + c columns span the fixed sublattice ker(A - I),
+      so V with those columns moved first is a basis W of Z^n, and
+      V_inv with the same rows moved first is W^-1.  In that basis A
+      takes the shape [[I, B], [0, -I]], because the quotient lattice
+      carries a fixed-point-free involution, which for order 2 forces -I.
+    * The Smith form U' B^T V' = D' of the transposed coupling block,
+      so that V'^T B U'^T = D'^T.  With X = (V'_inv)^T, the change of
+      basis [[X, XQ], [0, U'^T]] turns B into D'^T + 2Q, and the even
+      shift Q makes that a 0/1 block whose mod-2 rank is the regular
+      multiplicity c.
+    * Each surviving 1 pairs a fixed vector with a sign vector into one
+      swap block.
+
+    The result is certified by A U = U T, for T the canonical form, and
+    |det U| = 1: together they say U is unimodular with U^-1 A U = T,
+    and no inverse is formed.  An input already in canonical form
+    returns the identity without a Smith form.
 
     Returns (U, blocks) with blocks ordered Triv, then Sign, then Reg.
     """
@@ -213,44 +225,30 @@ def decompose(lat: InvolutiveLattice) -> tuple[IntMatrix, tuple[Block, ...]]:
     target = canonical_matrix(a, b, c)
     if lat.matrix == target:
         return IntMatrix.identity(n), blocks
-
+    # A = I and A = -I are canonical, so here both r and m are positive
     r = a + c
-    if r == 0:
-        w = IntMatrix.identity(n)
-    else:
-        kern = kernel_basis(lat.matrix - IntMatrix.identity(n))
-        snf = smith_normal_form(kern)
-        # first r columns of U^-1 span the fixed sublattice
-        w = inv_unimodular(snf.U)
-    a1 = inv_unimodular(w) @ lat.matrix @ w
+    m = n - r
+
+    snf = smith_normal_form(lat.matrix - IntMatrix.identity(n))
+    # move the kernel columns V[:, m:] first, and the matching rows of V_inv
+    w = IntMatrix.from_rows([row[m:] + row[:m] for row in snf.V.to_rows()])
+    v_inv = snf.V_inv.to_rows()
+    w_inv = IntMatrix.from_rows(v_inv[m:] + v_inv[:m])
+    a1 = w_inv @ lat.matrix @ w
     _check_upper_shape(a1, r, n)
 
-    m = n - r
-    if r and m:
-        bblock = IntMatrix.from_rows(
-            [[a1.entry(i, r + j) for j in range(m)] for i in range(r)]
-        )
-        bsnf = smith_normal_form(bblock)
-        u2_inv = inv_unimodular(bsnf.U)
-        # shift every divisor to 0 or 1 by an even amount
-        q_rows = [[0] * m for _ in range(r)]
-        for i, d in enumerate(bsnf.divisors):
-            want = d % 2
-            q_rows[i][i] = (want - d) // 2
-        w2_rows = [[0] * n for _ in range(n)]
-        q_shift = u2_inv @ IntMatrix.from_rows(q_rows)
-        for i in range(r):
-            for j in range(r):
-                w2_rows[i][j] = u2_inv.entry(i, j)
-            for j in range(m):
-                w2_rows[i][r + j] = q_shift.entry(i, j)
-        for i in range(m):
-            for j in range(m):
-                w2_rows[r + i][r + j] = bsnf.V.entry(i, j)
-        w2 = IntMatrix.from_rows(w2_rows)
-    else:
-        w2 = IntMatrix.identity(n)
-    a2 = inv_unimodular(w2) @ a1 @ w2
+    coupling = IntMatrix.from_rows([row[r:] for row in a1.to_rows()[:r]])
+    bsnf = smith_normal_form(coupling.transpose())
+    # shift every divisor to 0 or 1 by an even amount
+    q_rows = [[0] * m for _ in range(r)]
+    for i, d in enumerate(bsnf.divisors):
+        q_rows[i][i] = (d % 2 - d) // 2
+    x_block = bsnf.V_inv.transpose()
+    xq = x_block @ IntMatrix.from_rows(q_rows)
+    w2 = IntMatrix.from_rows(
+        [top + shift for top, shift in zip(x_block.to_rows(), xq.to_rows())]
+        + [[0] * r + row for row in bsnf.U.transpose().to_rows()]
+    )
 
     # pair coordinate i with coordinate r+i for each unit in the coupling block
     w3_cols: list[list[int]] = []
@@ -266,8 +264,7 @@ def decompose(lat: InvolutiveLattice) -> tuple[IntMatrix, tuple[Block, ...]]:
     w3 = IntMatrix.from_rows([[col[i] for col in w3_cols] for i in range(n)])
 
     u = w @ w2 @ w3
-    check = inv_unimodular(u) @ lat.matrix @ u
-    if check != target:
+    if lat.matrix @ u != u @ target or abs(u.det()) != 1:
         raise InternalInvariantError("decomposition does not reach the canonical form")
     return u, blocks
 

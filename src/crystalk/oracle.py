@@ -40,8 +40,6 @@ from .intlin import (
     _first_sparse_row_off_identity_square,
     _gf2_basis,
     _residue_masks,
-    express_in_basis,
-    inv_unimodular,
     kernel_columns,
     kernel_coordinates,
     random_unimodular,
@@ -523,7 +521,10 @@ def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict
     """Class-labelled homology ker(d_out)/im(d_in) with its t-action.
 
     One Smith form of d_out gives the kernel basis and, through its
-    V_inv, the coordinates of im(d_in) and of t on that kernel.
+    V_inv, the coordinates of im(d_in) and of t on that kernel.  A
+    second, of the transposed image coordinates, splits the kernel into
+    torsion and free parts, and its V'^T and V'_inv^T are that change of
+    basis and its inverse.
     """
     snf_out = smith_normal_form(d_out)
     kern = kernel_columns(snf_out)
@@ -531,7 +532,8 @@ def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict
     if r == 0:
         return {}
     x = kernel_coordinates(snf_out, d_in)
-    snf = smith_normal_form(x)
+    # from U' x^T V' = D' the left transform of x is L = V'^T, with L^-1 = V'_inv^T
+    snf = smith_normal_form(x.transpose())
     torsion = [d for d in snf.divisors if d >= 2]
     for d in torsion:
         if d != 2:
@@ -544,7 +546,7 @@ def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict
         out["TorF2"] = len(torsion)
     if free_idx:
         t_k = kernel_coordinates(snf_out, t_big @ kern)
-        t_y = snf.U @ t_k @ inv_unimodular(snf.U)
+        t_y = snf.V.transpose() @ t_k @ snf.V_inv.transpose()
         t_h = IntMatrix.from_rows([[t_y.entry(i, j) for j in free_idx] for i in free_idx])
         for name, mult in _label_free_lattice(t_h).items():
             out[name] = out.get(name, 0) + mult
@@ -641,11 +643,10 @@ def _one_minus_t_cell(name: str) -> dict:
         kernel = {}
     s = sum(1 for d in snf.divisors if d)
     if s:
-        mv = m1 @ snf.V
-        image_basis = IntMatrix.from_rows(
-            [[mv.entry(i, j) for j in range(s)] for i in range(dim)]
-        )
-        image = _label_free_lattice(express_in_basis(image_basis, rep @ image_basis))
+        # (1 - t) V[:, j] = 0 for j >= s and t commutes with 1 - t, so t acts
+        # on the image basis (1 - t) V[:, :s] by the top-left block of V^-1 t V
+        t_v = (snf.V_inv @ rep @ snf.V).to_rows()
+        image = _label_free_lattice(IntMatrix.from_rows([row[:s] for row in t_v[:s]]))
     else:
         image = {}
     cell = {"kernel": kernel, "image": image}

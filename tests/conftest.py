@@ -1,6 +1,4 @@
-import os
 import sys
-from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,8 +10,7 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.register_profile("ci", deadline=timedelta(seconds=5), max_examples=50)
-settings.load_profile(os.getenv("HYPOTHESIS_PROFILE", "default"))
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

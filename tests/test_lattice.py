@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from crystalk.intlin import (
     IntMatrix,
-    inv_unimodular,
-    kernel_basis,
+    kernel_columns,
     random_unimodular,
     smith_normal_form,
 )
@@ -33,6 +32,12 @@ def lat(rows):
 
 
 SWAP = [[0, 1], [1, 0]]
+
+
+def assert_conjugates(a, u, target):
+    """U is unimodular with U^-1 A U = target, checked without an inverse."""
+    assert a @ u == u @ target
+    assert abs(u.det()) == 1
 
 
 class TestValidate:
@@ -155,19 +160,31 @@ class TestDecompose:
         a = p @ mat(SWAP) @ p_inv
         u, blocks = decompose(validate_involution(a))
         assert blocks == (Block.REG,)
-        assert inv_unimodular(u) @ a @ u == canonical_matrix(0, 0, 1)
+        assert_conjugates(a, u, canonical_matrix(0, 0, 1))
 
     def test_reordering_permutation(self):
         u, blocks = decompose(lat([[-1, 0], [0, 1]]))
         assert blocks == (Block.TRIV, Block.SIGN)
         assert sorted(abs(x) for x in u.entries) == [0, 0, 1, 1]
-        assert inv_unimodular(u) @ mat([[-1, 0], [0, 1]]) @ u == canonical_matrix(1, 1, 0)
+        assert_conjugates(mat([[-1, 0], [0, 1]]), u, canonical_matrix(1, 1, 0))
 
     def test_sheared_reflection(self):
         a = mat([[1, 0], [2, -1]])
         u, blocks = decompose(validate_involution(a))
         assert blocks == (Block.TRIV, Block.SIGN)
-        assert inv_unimodular(u) @ a @ u == canonical_matrix(1, 1, 0)
+        assert_conjugates(a, u, canonical_matrix(1, 1, 0))
+
+    def test_two_smith_forms_and_none_when_canonical(self, snf_calls):
+        decompose(validate_involution(canonical_matrix(2, 1, 1)))
+        assert snf_calls == []
+        for n in range(2, 7):
+            for member in involution_corpus(n, seed=7, count=2):
+                inv = member.invariants
+                if member.matrix == canonical_matrix(inv.a, inv.b, inv.c):
+                    continue
+                snf_calls.clear()
+                decompose(validate_involution(member.matrix))
+                assert len(snf_calls) == 2
 
 
 class TestConjugationProperties:
@@ -188,14 +205,36 @@ class TestConjugationProperties:
             for member in corpus:
                 l = validate_involution(member.matrix)
                 u, blocks = decompose(l)
-                assert abs(u.det()) == 1
                 inv = member.invariants
                 assert blocks == (
                     (Block.TRIV,) * inv.a + (Block.SIGN,) * inv.b + (Block.REG,) * inv.c
                 )
-                assert inv_unimodular(u) @ member.matrix @ u == canonical_matrix(
-                    inv.a, inv.b, inv.c
-                )
+                assert_conjugates(member.matrix, u, canonical_matrix(inv.a, inv.b, inv.c))
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**16),
+        st.none() | st.tuples(st.integers(0, 7), st.integers(1, 7), st.integers(2**64 + 1, 2**70)),
+    )
+    def test_decompose_certificate_on_corpus_members(self, n, seed, index, shear):
+        corpus = involution_corpus(n, seed, count=1)
+        member = corpus[index % len(corpus)]
+        a = member.matrix
+        if shear and n > 1:
+            # conjugate by I + t E_ij, whose inverse is I - t E_ij
+            i, step, t = shear
+            i %= n
+            j = (i + step % (n - 1) + 1) % n
+            rows = IntMatrix.identity(n).to_rows()
+            rows[i][j] = t
+            p = mat(rows)
+            rows[i][j] = -t
+            a = p @ a @ mat(rows)
+        inv = member.invariants
+        u, blocks = decompose(validate_involution(a))
+        assert blocks == (Block.TRIV,) * inv.a + (Block.SIGN,) * inv.b + (Block.REG,) * inv.c
+        assert_conjugates(a, u, canonical_matrix(inv.a, inv.b, inv.c))
 
     def test_corpus_kernel_and_torsion_bookkeeping(self, small_corpora):
         for n, corpus in small_corpora.items():
@@ -203,8 +242,8 @@ class TestConjugationProperties:
             for member in corpus:
                 inv = member.invariants
                 a = member.matrix
-                assert kernel_basis(a - ident).cols == inv.a + inv.c
-                assert kernel_basis(a + ident).cols == inv.b + inv.c
+                assert kernel_columns(smith_normal_form(a - ident)).cols == inv.a + inv.c
+                assert kernel_columns(smith_normal_form(a + ident)).cols == inv.b + inv.c
                 # the torsion of coker(A -+ I) is its nonunit nonzero divisors
                 assert [d for d in smith_normal_form(a - ident).divisors if d > 1] == [2] * inv.b
                 assert [d for d in smith_normal_form(a + ident).divisors if d > 1] == [2] * inv.a
