@@ -18,6 +18,12 @@ class InputError(CrystalkError, ValueError):
     """The input from outside the program is malformed or over a bound."""
 
 
+class OutputError(CrystalkError):
+    """Standard output cannot be written, a full device say."""
+
+    label = "output error"
+
+
 class NotSquareError(InputError):
     """Raised when a square matrix is required but not supplied."""
 

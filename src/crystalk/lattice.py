@@ -239,40 +239,30 @@ def decompose(lat: InvolutiveLattice) -> tuple[IntMatrix, tuple[Block, ...]]:
 
     coupling = IntMatrix.from_rows([row[r:] for row in a1.to_rows()[:r]])
     bsnf = smith_normal_form(coupling.transpose())
-    # shift every divisor to 0 or 1 by an even amount
-    q_rows = [[0] * m for _ in range(r)]
-    for i, d in enumerate(bsnf.divisors):
-        q_rows[i][i] = (d % 2 - d) // 2
-    x_block = bsnf.V_inv.transpose()
-    xq = x_block @ IntMatrix.from_rows(q_rows)
+    # shift every divisor to 0 or 1 by an even amount; Q is diagonal, so
+    # column j of X Q is column j of X times q_j
+    q = [(d % 2 - d) // 2 for d in bsnf.divisors]
+    pad = [0] * (m - len(q))
     w2 = IntMatrix.from_rows(
-        [top + shift for top, shift in zip(x_block.to_rows(), xq.to_rows())]
+        [row + [x * s for x, s in zip(row, q)] + pad for row in bsnf.V_inv.transpose().to_rows()]
         + [[0] * r + row for row in bsnf.U.transpose().to_rows()]
     )
 
-    # pair coordinate i with coordinate r+i for each unit in the coupling block
-    w3_cols: list[list[int]] = []
-    for i in range(c, r):
-        w3_cols.append(_unit(n, i))
-    for j in range(c, m):
-        w3_cols.append(_unit(n, r + j))
+    # pair coordinate i with coordinate r+i for each unit in the coupling
+    # block: each column of U is a column of W W2 or the difference of two
+    p = (w @ w2).transpose().to_rows()
+    u_cols = p[c:r] + p[r + c :]
     for i in range(c):
-        first = _unit(n, r + i)
-        second = [x - y for x, y in zip(_unit(n, i), _unit(n, r + i))]
-        w3_cols.append(first)
-        w3_cols.append(second)
-    w3 = IntMatrix.from_rows([[col[i] for col in w3_cols] for i in range(n)])
+        u_cols += [p[r + i], [x - y for x, y in zip(p[i], p[r + i])]]
+    # U T keeps the first a columns of U, negates the next b and swaps each pair
+    ut_cols = u_cols[:a] + [[-x for x in col] for col in u_cols[a : a + b]]
+    for k in range(a + b, n, 2):
+        ut_cols += [u_cols[k + 1], u_cols[k]]
 
-    u = w @ w2 @ w3
-    if lat.matrix @ u != u @ target or abs(u.det()) != 1:
+    u = IntMatrix.from_rows(u_cols).transpose()
+    if lat.matrix @ u != IntMatrix.from_rows(ut_cols).transpose() or abs(u.det()) != 1:
         raise InternalInvariantError("decomposition does not reach the canonical form")
     return u, blocks
-
-
-def _unit(n: int, i: int) -> list[int]:
-    e = [0] * n
-    e[i] = 1
-    return e
 
 
 def _check_upper_shape(a1: IntMatrix, r: int, n: int) -> None:

@@ -134,7 +134,14 @@ def canonical_table_bytes(tables: Mapping) -> bytes:
     return json.dumps(tables, sort_keys=True, indent=2).encode() + b"\n"
 
 
+# the tables load_tables last verified and their sha256, so that checksumming
+# them again (the cstar cache key) does not serialize them a second time
+_verified: tuple[Mapping, str] | None = None
+
+
 def table_checksum(tables: Mapping) -> str:
+    if _verified is not None and tables is _verified[0]:
+        return _verified[1]
     return hashlib.sha256(canonical_table_bytes(tables)).hexdigest()
 
 
@@ -149,11 +156,13 @@ def load_tables() -> dict:
             "table file is not a UTF-8 JSON object with 'tables' and 'sha256' "
             f"({type(exc).__name__}: {exc})"
         ) from None
+    global _verified
     actual = table_checksum(tables)
     if actual != recorded:
         raise TableIntegrityError(
             f"table checksum mismatch: recorded {recorded}, computed {actual}"
         )
+    _verified = tables, actual
     return tables
 
 

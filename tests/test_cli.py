@@ -1,4 +1,6 @@
+import errno
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalk
-from crystalk import oracle
+from crystalk import cli, oracle
 from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.repring import _load_table_bytes, load_tables
@@ -348,6 +350,124 @@ class TestCstar:
         after = cache.read_bytes()
         assert after.startswith(before) and after.count(b"\n") == 2
 
+    def test_pm_type_key_is_pinned(self, tmp_path, capsys, monkeypatch):
+        """The key bytes do not change, so existing caches keep hitting; the
+        table sha256 in the key is the one verified on load, with no second
+        serialization of the tables."""
+        load_tables()
+        monkeypatch.setattr("crystalk.repring.canonical_table_bytes", None)
+        cache = tmp_path / "cache.jsonl"
+        assert main(["cstar", "--catalog", "pm-type", "--cache", str(cache)]) == 0
+        assert json.loads(cache.read_bytes())["key"] == (
+            "530b1a627fd8d1d6c70b908a601b61c55ed13a93dba626c5a0c71716998394fe"
+        )
+
+
+# a key no record below is written for, and a report that renders
+KEY = hashlib.sha256(b"requested").hexdigest()
+REPORT = build_report(validate_involution(CATALOG[2].matrix), kind="cstar")
+
+
+def cache_line(key):
+    return (json.dumps({"key": key, "report": REPORT}, sort_keys=True) + "\n").encode()
+
+
+def other_keys(count):
+    return b"".join(cache_line(hashlib.sha256(str(i).encode()).hexdigest()) for i in range(count))
+
+
+class TestCacheScan:
+    """cli._cache_lookup parses only the lines that could hold the key."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        lines = []
+        loads = cli.json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            lines.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "loads", counting_loads)
+        return lines
+
+    def lookup(self, tmp_path, data):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(data)
+        return cli._cache_lookup(str(path), KEY)
+
+    def test_miss_parses_no_line_and_hit_parses_one(self, tmp_path, capsys, parses):
+        records = other_keys(500)
+        assert self.lookup(tmp_path, records) is None
+        assert parses == []
+        assert self.lookup(tmp_path, records + cache_line(KEY) + records) == (
+            REPORT,
+            cli._report_text(REPORT),
+        )
+        assert len(parses) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            cache_line(KEY).replace(
+                KEY.encode(), "".join(f"\\u{ord(ch):04x}" for ch in KEY).encode()
+            ),
+            b"\xef\xbb\xbf" + cache_line(KEY),
+            (json.dumps({"key": KEY, "note": "\u00e9", "report": REPORT}, ensure_ascii=False)
+             + "\n").encode(),
+            # UTF-16 and UTF-32 put NULs between the key's bytes
+            cache_line(KEY).decode().encode("utf-16-be"),
+            cache_line(KEY).decode().encode("utf-32-be"),
+        ],
+        ids=["escaped-key", "bom", "non-ascii", "utf-16", "utf-32"],
+    )
+    def test_line_holding_the_key_is_a_hit(self, tmp_path, capsys, parses, line):
+        assert self.lookup(tmp_path, other_keys(3) + line)[0] == REPORT
+        assert parses == [line]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "line, unreadable",
+        [
+            (cache_line("a\\b"), 0),
+            ('{"key": "\u00e9", "report": {}}\n'.encode(), 0),
+            (b'{"key": "\xff"}\n', 1),
+            (b'{"key": "x\x00"}\n', 1),
+        ],
+        ids=["backslash", "non-ascii", "bad-utf8", "nul"],
+    )
+    def test_line_that_could_hide_a_key_is_parsed(
+        self, tmp_path, capsys, parses, line, unreadable
+    ):
+        assert self.lookup(tmp_path, other_keys(3) + line) is None
+        assert parses == [line]
+        warning = f"warning: skipped 1 unreadable line(s) in cache {tmp_path / 'cache.jsonl'}\n"
+        assert capsys.readouterr().err == (warning if unreadable else "")
+
+    def test_line_that_cannot_be_an_object_is_counted_unparsed(self, tmp_path, capsys, parses):
+        truncated = b'{"key": "' + KEY[:20].encode() + b"\n"
+        hostile = [b"[1]\n", b' "x" \n', b"null\n", truncated]
+        silent = [b"\n", b" \t\r\n", b"\x0c\n", b"\x0b\x0c\n"]
+        assert self.lookup(tmp_path, b"".join(hostile + silent) + other_keys(2)) is None
+        assert parses == []
+        warning = f"warning: skipped 4 unreadable line(s) in cache {tmp_path / 'cache.jsonl'}\n"
+        assert capsys.readouterr().err == warning
+
+    def test_damaged_record_for_another_key_is_passed_over(self, tmp_path, capsys, parses):
+        """The one narrowing against parsing every line: a damaged record for
+        another key is not read, so it does not count toward the warning
+        until a request for its key reads it."""
+        other = hashlib.sha256(b"other").hexdigest().encode()
+        damaged = b'{"key": "' + other + b'", "report": }\n'
+        assert self.lookup(tmp_path, damaged + other_keys(2)) is None
+        assert parses == []
+        assert capsys.readouterr().err == ""
+        damaged_hit = b'{"key": "' + KEY.encode() + b'", "report": }\n'
+        assert self.lookup(tmp_path, damaged_hit + other_keys(2)) is None
+        assert parses == [damaged_hit]
+        assert "skipped 1 unreadable line(s)" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_text_and_json_agree_numerically(self, tmp_path, capsys):
@@ -637,6 +757,14 @@ def run_in_process(argv, stdin_bytes):
     return code, out.getvalue(), err.getvalue()
 
 
+def buffered_child_env():
+    """The environment for a crystalk child with a buffered stdout unless -u
+    is passed: PYTHONUNBUFFERED would make every write fail inside cli.main."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(crystalk.__file__).parent.parent)
+    return env
+
+
 class TestExitCodes:
     @settings(max_examples=200)
     @given(
@@ -665,8 +793,7 @@ class TestExitCodes:
     def test_closed_pipe_exits_141_quietly(self, flags):
         """A reader that closed stdout is not an input error; with -u the
         write fails inside cli.main, without it at the final flush."""
-        src = str(Path(crystalk.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
+        env = buffered_child_env()
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -679,3 +806,25 @@ class TestExitCodes:
             os.close(write_end)
         assert run.stderr == b""
         assert run.returncode == 141
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--catalog", "pm-type"],
+            ["verify", "--n", "5", "--count", "3", "--skip-grid", "--format", "json"],
+        ],
+        ids=["short", "over-one-buffer"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_full_device_is_an_output_error(self, flags, argv):
+        """A stdout that cannot be written exits 2 with one line, whether the
+        write fails inside cli.main or at the final flush."""
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "crystalk", *argv],
+                env=buffered_child_env(), stdout=full, stderr=subprocess.PIPE,
+            )
+        message = f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert run.stderr.decode() == message
+        assert run.returncode == 2
