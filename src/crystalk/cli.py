@@ -476,8 +476,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse ignores a failed write, then exits inside parse_args: help
+        # on stdout is flushed here, so a failure reaches entrypoint's handler
+        if file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crystalk",
         description=(
             "K-theory ranks for integer involution lattices and the reduced "
@@ -547,7 +558,7 @@ def entrypoint() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    # standard output failed, in a print inside main or in the flush above
+    # standard output failed: in main (argparse's help too) or in the flush above
     except (OutputError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader closed stdout: quiet, with the shell's code for a SIGPIPE death

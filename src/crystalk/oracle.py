@@ -28,9 +28,10 @@ different method at desk scale:
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
-from math import isqrt, prod
+from itertools import combinations, repeat
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
@@ -285,38 +286,36 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     Both grids come from w in {0..2d-1}^n with residues r = (A - I)w
     mod 4d: w is fixed on the 2d grid when r = 0 mod 2d, and at the
     even points w = 2v (the d grid) the certificate bits
-    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.  The coefficients of
-    A - I are reduced mod 4d as Python integers before numpy sees them,
-    so entries of any size are enumerated exactly.
+    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.  Every coefficient is
+    reduced with Python's %, and all arithmetic is on Python integers,
+    so entries of any size are exact.
 
-    The grid is not swept point by point but joined from two half-grids
-    (meet in the middle): every w is u + v for exactly one u on the
-    first side and one v on the second, so r is the sum of their
-    residues R1(u) and R2(v) mod 4d.  The first side spans the first
-    n // 2 coordinates and the second the last n // 2; for odd n the
-    middle coordinate is written as lo + step·hi, with step an even
-    divisor of 2d near its square root, and its two digits go one to
-    each side.  Since step is even, w is even exactly when both u and v
-    are.  Split each residue as R = 2d·q + s with 0 <= s < 2d.  Then w
-    is fixed exactly when s2 = -s1 mod 2d in every row, so the key
-    -s1 mod 2d of u must equal the key s2 of v, and the fixed counts on
-    both grids are sums over shared keys of the two sides' point
-    counts (all points, and even points).  At a fixed point s1 + s2 is
-    0 when s1 = 0 and 2d otherwise, so floor(r / 2d) mod 2 is
-    Q1(u) xor Q2(v) with Q1 = (q1 + [s1 != 0]) mod 2 and
-    Q2 = q2 mod 2.  Reduction modulo the mod-2 column space is linear,
-    so each even fixed point's label is the xor of its two halves'
-    reduced labels, and the component labels are those xors over all
-    pairs of even points with a shared key.  Every fixed point is
-    counted once and every label is exact, while each side holds about
-    (2d)^(n/2) points instead of the (2d)^n of a sweep (more for odd n
-    when 2d has no divisor near its square root).
+    The grid is joined from two half-grids (meet in the middle): every
+    w is u + v for one u on the first side, the first n // 2
+    coordinates, and one v on the second, the last n // 2; for odd n
+    the middle coordinate is written as lo + step·hi, with step an even
+    divisor of 2d near its square root, one digit to each side.  Since
+    step is even, w is even exactly when u and v are.  With N1 the
+    residue of -(A - I)u and N2 that of (A - I)v, both mod 4d,
+    r = N2 - N1 mod 4d.  Write N = 2d·b + s with 0 <= s < 2d.  Then w is
+    fixed exactly when s1 = s2 in every row, so s is the key on both
+    sides; the fixed counts are sums over shared keys of the two sides'
+    point counts (all points, and even points); and at a fixed point
+    r = 2d·(b2 - b1), so the certificate bits are b1 xor b2.  Reduction
+    modulo the mod-2 column space is linear, so it can follow the xor.
+    The first side is held as counts per key; the second, at least as
+    large, is looked up as it is generated.  Each side has about
+    (2d)^(n/2) points (more for odd n when 2d has no divisor near its
+    square root).
+
+    A point's residues are packed into one integer, a slot of
+    bit_length(4d) + 2 bits per row, wide enough for the sum of two
+    residues: the slot-wise test x >= c is (x + top - c·ones) & top,
+    and reduction mod c subtracts c where that bit is set.
 
     ``d`` must be even so that every component (an affine translate by
     a half-integer vector) meets the grid.
     """
-    import numpy as np
-
     if not a.is_square:
         raise ValueError("square matrix required")
     n = a.rows
@@ -327,93 +326,74 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     if (2 * d) ** n > GRID_SWEEP_BOUND:
         raise GridTooLargeError("doubled grid for the dimension estimate is too large")
     m_int = a - IntMatrix.identity(n)
-
-    # column space of (A - I) mod 2, as bitmasks
-    basis = _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose()))
-
     half, mod = 2 * d, 4 * d
-    # column j of A - I, reduced mod 4d, as a column vector
-    cols = [
-        np.array([x % mod for x in m_int.column(j)], dtype=np.int64).reshape(n, 1)
-        for j in range(n)
-    ]
-    # each side's digits, as (coefficients mod 4d, radix, whether the parity counts)
+    width = mod.bit_length() + 2
+    shift = width - 1
+    ones = sum(1 << (i * width) for i in range(n))
+    top = ones << shift
+
+    # each side's digits: (column of A - I, its scale, radix, whether parity counts)
     k = n // 2
-    first = [(cols[j], half, True) for j in range(k)]
-    second = [(cols[j], half, True) for j in range(n - k, n)]
+    first = [(m_int.column(j), -1, half, True) for j in range(k)]
+    second = [(m_int.column(j), 1, half, True) for j in range(n - k, n)]
     if n % 2:
         # coordinate k is split as lo + step·hi with step even, so its parity
         # is that of lo; step·(2d / step) = 2d factors as near its root as it
-        # can, and the larger factor goes to the second side, which is only
-        # searched, not sorted
+        # can, and the larger factor goes to the second side, which is not held
         low = max(x for x in range(1, isqrt(half) + 1) if half % x == 0)
         step = low if low % 2 == 0 else half // low
-        parts = sorted(
-            [(cols[k] * step % mod, half // step, False), (cols[k], step, True)],
-            key=lambda part: part[1],
-        )
-        first.append(parts[0])
-        second.insert(0, parts[1])
+        parts = sorted([(step, half // step, False), (1, step, True)], key=lambda p: p[1])
+        first.append((m_int.column(k), -parts[0][0], *parts[0][1:]))
+        second.insert(0, (m_int.column(k), *parts[1]))
 
-    def side(digits):
-        """R mod 4d, one row per row of A - I, and which points are even,
-        over every point of one side in C order."""
-        size = prod(radix for _, radix, _ in digits)
-        flat = np.arange(size, dtype=np.int64)
-        r = np.zeros((n, size), dtype=np.int64)
-        even = np.ones(size, dtype=bool)
-        place = 1
-        for col, radix, parity in reversed(digits):
-            x = flat // place % radix
-            # each term is below 4d · 2d, so for d^n <= GRID_POINT_BOUND the sum fits
-            r += col * x
-            if parity:
-                even &= x & 1 == 0
-            place *= radix
-        return r % mod, even
+    def side(digits, even):
+        """Packed residues of one side's points: every point's mod 2d (its
+        key), or the even points' mod 4d.  The later digits' points are
+        held; the first digit's values are generated one at a time."""
+        c = mod if even else half
+        over = top - c * ones
 
-    def pack(s):
-        """One integer per point from its n residues mod 2d; (2d)^n is
-        within GRID_SWEEP_BOUND."""
-        key = s[-1]
-        for row in s[-2::-1]:
-            key = key * half + row
-        return key
+        def add(ms, xs):
+            return (s - ((s + over & top) >> shift) * c for m in ms for x in xs for s in [m + x])
 
-    def labels(q):
-        """Certificate bits per point as a bitmask, reduced modulo the column space."""
-        bits = q[0].copy()
-        for i in range(1, n):
-            bits |= q[i] << i
-        for b in basis:
-            bits ^= (bits >> (b.bit_length() - 1) & 1) * b
-        return bits
+        def multiples(column, scale, radix, parity):
+            twice = even and parity  # the even values of a digit are 0, 2, 4, ...
+            col = sum((scale << twice) * x % c << (i * width) for i, x in enumerate(column))
+            x = 0
+            for _ in range(radix >> twice):
+                yield x
+                x += col
+                x -= ((x + over & top) >> shift) * c
 
-    r1, even1 = side(first)
-    r2, even2 = side(second)
-    keys, at1 = np.unique(pack(-r1 % half), return_inverse=True)
-    key2 = pack(r2 % half)
-    at2 = np.searchsorted(keys, key2)
-    shared = keys.take(at2, mode="clip") == key2
-    at2, r2, even2 = at2[shared], r2[:, shared], even2[shared]
-    r1, at1_even, r2, at2_even = r1[:, even1], at1[even1], r2[:, even2], at2[even2]
+        points = [0]
+        for digit in digits[1:]:
+            points = list(add(multiples(*digit), points))
+        return add(multiples(*digits[0]), points)
 
-    def counts(at):
-        return np.bincount(at, minlength=keys.size)
+    def halves(x):
+        """Key and certificate bits of a residue mod 4d: x mod 2d, and the
+        top bits of the slots where x >= 2d."""
+        high = x + top - half * ones & top
+        return x - (high >> shift) * half, high
 
-    count_double = int(counts(at1) @ counts(at2))
-    count = int(counts(at1_even) @ counts(at2_even))
-
-    # distinct (key, label) pairs of each side's even points, joined on the key
-    pairs1 = np.unique(at1_even << n | labels((r1 // half + (r1 % half != 0)) & 1))
-    pairs2 = np.unique(at2_even << n | labels(r2 // half & 1))
-    by_key: dict[int, list[int]] = {}
-    mask = (1 << n) - 1
-    for pair in pairs1.tolist():
-        by_key.setdefault(pair >> n, []).append(pair & mask)
-    components = {
-        l1 ^ (pair & mask) for pair in pairs2.tolist() for l1 in by_key.get(pair >> n, ())
-    }
+    all1 = Counter(side(first, False))
+    count_double = sum(map(all1.get, side(second, False), repeat(0)))
+    even1: Counter[int] = Counter()
+    highs1: dict[int, set[int]] = {}
+    for key, high in map(halves, side(first, True)):
+        even1[key] += 1
+        highs1.setdefault(key, set()).add(high)
+    count = 0
+    components: set[int] = set()
+    for key, high in map(halves, side(second, True)):
+        if key in even1:
+            count += even1[key]
+            components.update(high ^ h for h in highs1[key])
+    # reduce modulo the mod-2 column space, its bit i spread to the top of slot i
+    for b in _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose())):
+        lead = (b.bit_length() - 1) * width + shift
+        b = sum(1 << (i * width + shift) for i in range(n) if b >> i & 1)
+        components = {x ^ b if x >> lead & 1 else x for x in components}
     if count == 0:
         raise InternalInvariantError("origin is always a fixed point")
 

@@ -183,6 +183,11 @@ def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
 
     rk K^1(T^n) - k0_twisted + k0 - rk K^0(T^n) + k1_twisted - k1.
     Exactness forces this to vanish; callers assert == 0.
+
+    The 2^(n-1) terms cancel, and so do the fixed-set terms; what is
+    left, (even_inv + even_anti) - (odd_inv + odd_anti), is 0 or
+    ``cohomology_invariants`` raises.  So the sum is nonzero only if
+    ``twisted_ranks`` and ``k_ranks_delocalized`` are edited out of step.
     """
     half = 2 ** (lat.n - 1)
     k0m, k1m = twisted_ranks(lat)
@@ -295,11 +300,11 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
         "after localization, giving the submodule embedding",
     )
 
-    k_value = 3 * 2 ** (n - 2)
+    ranks = module_rank(t_deg0), module_rank(t_deg1)
     deloc = k_ranks_delocalized(lat)
-    if deloc.ranks != (k_value, k_value):
+    if deloc.ranks != ranks:
         raise InternalInvariantError(
-            f"route disagreement: assembly {(k_value, k_value)}, delocalized {deloc.ranks}"
+            f"route disagreement: assembly {ranks}, delocalized {deloc.ranks}"
         )
     step5 = _step(
         "rank_formula",
@@ -308,8 +313,8 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
             "equivariant_rank_free_factor": module_rank(ky0),
         },
         {
-            "k0": k_value,
-            "k1": k_value,
+            "k0": ranks[0],
+            "k1": ranks[1],
             "delocalized": {"k0": deloc.k0, "k1": deloc.k1},
             "routes_agree": True,
         },
@@ -320,8 +325,8 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
     if any(collect_torsion_flags(certificate)):
         raise InternalInvariantError("torsion flag raised inside a split-case certificate")
     return KRankReport(
-        k0=k_value,
-        k1=k_value,
+        k0=ranks[0],
+        k1=ranks[1],
         scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
         certificate=certificate,
     )

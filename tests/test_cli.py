@@ -671,8 +671,12 @@ class TestStartup:
             "import runpy; sys.argv = ['crystalk', 'cstar', '--catalog', 'pm-type']\n"
             "try:\n    runpy.run_module('crystalk', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code in (0, None), exc.code",
+            "import runpy; sys.argv = ['crystalk', 'verify', '--n', '6', '--seed', '7', "
+            "'--count', '2']\n"
+            "try:\n    runpy.run_module('crystalk', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code in (0, None), exc.code",
         ],
-        ids=["import", "cstar"],
+        ids=["import", "cstar", "verify"],
     )
     def test_numpy_is_not_loaded(self, code):
         src = str(Path(crystalk.__file__).parent.parent)
@@ -813,13 +817,16 @@ class TestExitCodes:
         [
             ["classify", "--catalog", "pm-type"],
             ["verify", "--n", "5", "--count", "3", "--skip-grid", "--format", "json"],
+            # argparse writes help inside parse_args and ignores a failed write
+            ["--help"],
+            ["cstar", "--help"],
         ],
-        ids=["short", "over-one-buffer"],
+        ids=["short", "over-one-buffer", "help", "subcommand-help"],
     )
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     def test_full_device_is_an_output_error(self, flags, argv):
         """A stdout that cannot be written exits 2 with one line, whether the
-        write fails inside cli.main or at the final flush."""
+        write fails inside cli.main, in argparse's help or at the final flush."""
         with open("/dev/full", "wb") as full:
             run = subprocess.run(
                 [sys.executable, *flags, "-m", "crystalk", *argv],

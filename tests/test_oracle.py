@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ def mat(rows):
 SWAP = mat([[0, 1], [1, 0]])
 
 # involutions of rank <= 3, with negative entries and entries beyond 64 bits,
-# which the grid verifier reduces mod 4d before numpy sees them
+# which the grid verifier reduces mod 4d before it packs them
 ENUMERATION_MATRICES = [
     [[-1]],
     [[1]],
@@ -71,7 +72,9 @@ def grid_by_enumeration(a, d):
 
     def fixed(grid):
         points = itertools.product(range(grid), repeat=n)
-        return [v for v in points if all(x % grid == 0 for x in image(v))]
+        return [
+            v for v in points if all(sum(map(operator.mul, row, v)) % grid == 0 for row in m)
+        ]
 
     span = {
         tuple(sum(c * x for c, x in zip(coeffs, row)) % 2 for row in m)
@@ -267,7 +270,10 @@ class TestFixedGrid:
         "rows, d",
         [(rows, d) for rows in ENUMERATION_MATRICES for d in (2, 4, 6)]
         # residues of two coordinates mod 4d = 200 sum past 255
-        + [([[0, 1], [1, 0]], 50), ([[1, 0], [-7, -1]], 50)],
+        + [([[0, 1], [1, 0]], 50), ([[1, 0], [-7, -1]], 50)]
+        # 2d = 20 = 4·5 and 2d = 44 = 4·11, the most unbalanced split: odd n
+        # must take the even factor 4 as its step, not the odd cofactor
+        + [(rows, d) for rows in ENUMERATION_MATRICES for d in (10, 22)],
     )
     def test_grid_counts_match_pure_enumeration(self, rows, d):
         a = mat(rows)

@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalk.errors import ScopeError
+from crystalk import toruskt
+from crystalk.errors import InternalInvariantError, ScopeError
 from crystalk.intlin import IntMatrix, exterior_trace_poly, random_unimodular
 from crystalk.lattice import (
     ActionClass,
@@ -249,6 +250,14 @@ class TestKunnethAssembly:
                 l = validate_involution(member.matrix)
                 if classify(l) is ActionClass.MIXED_SPLIT:
                     assert kunneth_assembly(l).ranks == k_ranks_delocalized(l).ranks
+
+    def test_rank_is_read_off_the_assembled_modules(self, monkeypatch):
+        # one extra trivial summand in every tensor cell: the assembled rank
+        # moves, and the comparison with the delocalized route must see it
+        real = toruskt.tensor
+        monkeypatch.setattr(toruskt, "tensor", lambda m, n: real(m, n) + RModuleSum(triv=1))
+        with pytest.raises(InternalInvariantError, match="route disagreement"):
+            kunneth_assembly(PM)
 
 
 class TestIntegralKTheory:
