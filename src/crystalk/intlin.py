@@ -3,13 +3,14 @@
 Smith normal form with transformation matrices and the inverse of
 the right one, built alongside it: every exact inverse the package
 needs is read off the transform that built it, so no solve runs a
-second Smith form.  Integer kernels and kernel coordinates, an exact
-check of M·M = I on the nonzeros of each row, ranks over F_2 and F_3
-on bitmask rows (including the ranks of M - I and M + I of an
-involution over F_3), exterior-power trace polynomials, and seeded
-unimodular matrices with their inverses.  Every operation works on
-arbitrary-precision Python integers; nothing in this module touches
-floating point.
+second Smith form.  One fraction-free (Bareiss) elimination,
+``_bareiss``, gives both the determinant and the rank over Q.  Integer
+kernels and kernel coordinates, an exact check of M·M = I on the
+nonzeros of each row, ranks over F_2 and F_3 on bitmask rows
+(including the ranks of M - I and M + I of an involution over F_3),
+exterior-power trace polynomials, and seeded unimodular matrices with
+their inverses.  Every operation works on arbitrary-precision Python
+integers; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -123,33 +124,42 @@ class IntMatrix(Frozen):
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant, the signed last pivot of ``_bareiss`` at full rank."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, pivot = _bareiss(self)
+        return pivot if rank == self.rows else 0
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.to_rows())
+
+def _bareiss(m: IntMatrix) -> tuple[int, int]:
+    """Rank over Q of m and its last pivot, signed by the row swaps.
+
+    Fraction-free (Bareiss) elimination: each column's pivot is its
+    first nonzero entry at or below the pivot row, a column with none is
+    skipped, and every division by the previous pivot is exact.  For a
+    square m of full rank the signed last pivot is det m; with no pivot
+    it is 1.
+    """
+    a = m.to_rows()
+    rank, prev, sign = 0, 1, 1
+    for col in range(m.cols):
+        piv = next((i for i in range(rank, m.rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        ar = a[rank]
+        p = ar[col]
+        # rows with a zero head still need the fraction-free update; column
+        # col is not read again
+        for ai in a[rank + 1 :]:
+            head = ai[col]
+            for j in range(col + 1, m.cols):
+                ai[j] = (ai[j] * p - head * ar[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 class SmithDecomposition(NamedTuple):

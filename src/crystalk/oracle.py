@@ -37,6 +37,7 @@ from typing import NamedTuple
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
+    _bareiss,
     _f3_eigenranks,
     _first_sparse_row_off_identity_square,
     _gf2_basis,
@@ -80,34 +81,7 @@ GRID_SWEEP_BOUND = 16_777_216
 
 def rank_exact(m: IntMatrix) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination."""
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    rank = 0
-    row = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        for i in range(row + 1, nr):
-            # rows with a zero head still need the fraction-free update
-            head = a[i][col]
-            ai, ar = a[i], a[row]
-            for j in range(col + 1, nc):
-                ai[j] = (ai[j] * p - head * ar[j]) // prev
-            ai[col] = 0
-        prev = p
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    return _bareiss(m)[0]
 
 
 def _gf2_rank_rows(m: IntMatrix) -> int:
@@ -316,8 +290,8 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
     ``d`` must be even so that every component (an affine translate by
     a half-integer vector) meets the grid.
     """
-    if not a.is_square:
-        raise ValueError("square matrix required")
+    if not a.is_square or a.rows == 0:
+        raise ValueError(f"need a square matrix of positive size, got {a.rows}x{a.cols}")
     n = a.rows
     if d < 2 or d % 2:
         raise ValueError("grid denominator must be an even integer >= 2")
@@ -428,16 +402,13 @@ def _res_rank(name: str, i: int) -> int:
         return 1 if i == 0 else 0
     if name in ("TrivZ", "SignZ"):
         return 1
-    if name == "TorF2":
-        return 1 if i == 0 else 2
-    raise ValueError(f"unknown class {name!r}")
+    # TorF2
+    return 1 if i == 0 else 2
 
 
 def _res_differential(name: str, i: int) -> list[list[tuple[int, int]]]:
     """The i-th differential (i >= 1) of the standard free resolution,
     entries recorded as (constant, t-coefficient)."""
-    if i < 1:
-        raise ValueError("differentials start at degree 1")
     if name == "FreeR":
         return [[] for _ in range(_res_rank(name, i - 1))]
     if name == "TrivZ":
@@ -446,13 +417,12 @@ def _res_differential(name: str, i: int) -> list[list[tuple[int, int]]]:
     if name == "SignZ":
         entry = _T_PLUS if i % 2 else _T_MINUS
         return [[entry]]
-    if name == "TorF2":
-        if i == 1:
-            return [[(2, 0), (1, 1)]]
-        if i % 2 == 0:
-            return [[(1, 1), (0, 0)], [(0, -2), (1, -1)]]
-        return [[(1, -1), (0, 0)], [(0, 2), (1, 1)]]
-    raise ValueError(f"unknown class {name!r}")
+    # TorF2
+    if i == 1:
+        return [[(2, 0), (1, 1)]]
+    if i % 2 == 0:
+        return [[(1, 1), (0, 0)], [(0, -2), (1, -1)]]
+    return [[(1, -1), (0, 0)], [(0, 2), (1, 1)]]
 
 
 def _tensor_int(rmat: list[list[tuple[int, int]]], rep: IntMatrix) -> IntMatrix:
@@ -471,18 +441,6 @@ def _tensor_int(rmat: list[list[tuple[int, int]]], rep: IntMatrix) -> IntMatrix:
                     val = a1 * rep.entry(x, y) + (a0 if x == y else 0)
                     rows[bi * dim + x][bj * dim + y] = val
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, nc * dim, ())
-
-
-def _tensor_f2_masks(rmat: list[list[tuple[int, int]]]) -> list[int]:
-    """Rows of the induced F_2 matrix (t acts as 1, char 2), as bitmasks."""
-    masks = []
-    for row in rmat:
-        bits = 0
-        for j, (a0, a1) in enumerate(row):
-            if (a0 + a1) % 2:
-                bits |= 1 << j
-        masks.append(bits)
-    return masks
 
 
 def _label_free_lattice(t_action: IntMatrix) -> dict[str, int]:
@@ -547,26 +505,26 @@ def resolution_module_class(m_class: str, n_class: str, degree: int) -> dict[str
         raise ValueError("degrees 0, 1, 2 only")
 
     if n_class == "TorF2":
-        # complexes of F_2 vector spaces
-        d_out_rank = 0
-        if degree > 0:
-            d_out_rank = len(_gf2_basis(_tensor_f2_masks(_res_differential(m_class, degree))))
-        d_in_rank = len(_gf2_basis(_tensor_f2_masks(_res_differential(m_class, degree + 1))))
-        dim = _res_rank(m_class, degree)
-        h = (dim - d_out_rank) - d_in_rank
+        # complexes of F_2 vector spaces: t acts as 1, so each differential is
+        # its integer matrix on TrivZ, of entries a0 + a1, read mod 2; degree 0
+        # maps to nothing
+        h = _res_rank(m_class, degree) - sum(
+            _gf2_rank_rows(_tensor_int(_res_differential(m_class, i), _REPS["TrivZ"]))
+            for i in (degree, degree + 1)
+            if i
+        )
         if h < 0:
             raise InternalInvariantError("negative homology dimension")
         return {"TorF2": h} if h else {}
 
     rep = _REPS[n_class]
-    dim = _res_rank(m_class, degree) * rep.rows
+    rank = _res_rank(m_class, degree)
     # degree 0 maps to nothing, so every chain is a cycle
-    d_out = IntMatrix(0, dim, ())
+    d_out = IntMatrix(0, rank * rep.rows, ())
     if degree > 0:
         d_out = _tensor_int(_res_differential(m_class, degree), rep)
     d_in = _tensor_int(_res_differential(m_class, degree + 1), rep)
     # t acting on each copy: the diagonal group-ring matrix t·I
-    rank = _res_rank(m_class, degree)
     t_big = _tensor_int([[(0, int(i == j)) for j in range(rank)] for i in range(rank)], rep)
     return _homology_label(d_out, d_in, t_big)
 

@@ -64,8 +64,6 @@ class RModuleSum(Frozen):
         return RModuleSum(*map(operator.add, self._values, other._values))
 
     def scale(self, k: int) -> "RModuleSum":
-        if k < 0:
-            raise ValueError("scale factor must be nonnegative")
         return RModuleSum(*map(k.__mul__, self._values))
 
     @property

@@ -38,6 +38,10 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             mat([[1.5]])
 
+    def test_from_rows_rejects_bools(self):
+        with pytest.raises(TypeError, match="^matrix entries must be integers, got True$"):
+            mat([[True]])
+
     def test_from_rows_rejects_ragged(self):
         with pytest.raises(ValueError):
             mat([[1, 2], [3]])
@@ -188,6 +192,10 @@ class TestRandomUnimodular:
             m, m_inv = random_unimodular(1, seed, steps=10)
             assert m.entries in ((1,), (-1,))
             assert m_inv == m
+
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            random_unimodular(0, 1, 1)
 
     def test_zero_steps_is_identity(self):
         assert random_unimodular(2, seed=99, steps=0) == (IntMatrix.identity(2),) * 2

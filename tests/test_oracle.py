@@ -258,6 +258,15 @@ class TestFixedGrid:
         with pytest.raises(GridTooLargeError):
             fixed_grid_components(IntMatrix.identity(21), 2)
 
+    def test_doubled_grid_bound(self):
+        # d^n = 14^5 = 537,824 is within the point bound, (2d)^n = 17,210,368 is not
+        with pytest.raises(GridTooLargeError, match="^doubled grid for the dimension estimate"):
+            fixed_grid_components(IntMatrix.identity(5), 14)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="^need a square matrix of positive size, got 0x0$"):
+            fixed_grid_components(IntMatrix(0, 0, ()), 4)
+
     def test_agrees_with_invariant_route(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus:

@@ -1,4 +1,4 @@
-"""Differential tests against sympy: Smith normal form and the F_2 / F_3 ranks."""
+"""Differential tests against sympy: Smith normal form, determinant and the ranks."""
 
 import pytest
 
@@ -26,6 +26,21 @@ def matrices(entry, max_dim=5):
     )
 
 
+@st.composite
+def elimination_inputs(draw):
+    """Square and rectangular matrices; in some, one row is an integer
+    combination of the others, inserted so that the rank falls short."""
+    c = draw(st.integers(1, 5))
+    dependent = draw(st.booleans())
+    r = c - dependent if draw(st.booleans()) else draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    if dependent:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        combo = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)]
+        rows.insert(draw(st.integers(0, r)), combo)
+    return rows
+
+
 def f3_rank(m):
     return _f3_rank((ones, twos) for _, ones, twos in _residue_masks(m))
 
@@ -41,6 +56,21 @@ def test_divisors_match_sympy_invariant_factors(rows):
     assert abs(snf.U.det()) == abs(snf.V.det()) == 1
     diag = [[snf.divisors[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
     assert snf.D == IntMatrix.from_rows(diag)
+
+
+@pytest.mark.parametrize("rows", [[], [[0]], [[-(2**70)]]])
+def test_det_and_rank_of_the_smallest_shapes(rows):
+    m = IntMatrix.from_rows(rows)
+    assert m.det() == Matrix(rows).det()
+    assert rank_exact(m) == Matrix(rows).rank()
+
+
+@given(elimination_inputs())
+def test_det_and_rank_match_sympy(rows):
+    m = IntMatrix.from_rows(rows)
+    assert rank_exact(m) == Matrix(rows).rank()
+    if m.is_square:
+        assert m.det() == Matrix(rows).det()
 
 
 @given(

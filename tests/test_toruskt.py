@@ -87,7 +87,7 @@ class TestFixedSet:
             for member in corpus:
                 desc = fixed_set(validate_involution(member.matrix))
                 assert desc.components == 2**member.invariants.b
-                assert desc.dim == member.invariants.fixed_rank
+                assert desc.dim == member.invariants.a + member.invariants.c
 
 
 class TestCohomologyInvariants:
