@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the frozen module-arithmetic table file from resolutions.
 
-The table file is the single source the repring module reads; only
-this script (driving the resolution verifier) may rewrite it.
+The packaged table file is the only source the repring module reads;
+only this script (driving the resolution verifier) may rewrite it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from crystalk import oracle
 
-DEFAULT_TARGET = (
+TABLE_FILE = (
     pathlib.Path(__file__).resolve().parent.parent
     / "src" / "crystalk" / "data" / "repring_tables.json"
 )
@@ -21,7 +21,6 @@ DEFAULT_TARGET = (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_TARGET)
     parser.add_argument(
         "--check", action="store_true",
         help="compare against the existing file instead of writing",
@@ -30,17 +29,15 @@ def main() -> int:
 
     rendered = oracle.render_table_file_bytes()
     if args.check:
-        current = args.out.read_bytes()
-        if current == rendered:
-            print(f"{args.out}: byte-identical with regenerated tables")
+        if TABLE_FILE.read_bytes() == rendered:
+            print(f"{TABLE_FILE}: byte-identical with regenerated tables")
             return 0
-        print(f"{args.out}: DIFFERS from regenerated tables", file=sys.stderr)
+        print(f"{TABLE_FILE}: DIFFERS from regenerated tables", file=sys.stderr)
         return 1
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    changed = not args.out.exists() or args.out.read_bytes() != rendered
-    args.out.write_bytes(rendered)
-    print(f"wrote {args.out} ({'changed' if changed else 'unchanged'}, {len(rendered)} bytes)")
+    changed = not TABLE_FILE.exists() or TABLE_FILE.read_bytes() != rendered
+    TABLE_FILE.write_bytes(rendered)
+    print(f"wrote {TABLE_FILE} ({'changed' if changed else 'unchanged'}, {len(rendered)} bytes)")
     return 0
 
 

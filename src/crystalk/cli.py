@@ -547,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrystalkError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    # a file the user named: --input, --cache or CRYSTALK_TABLE_PATH
+    # a file the user named: --input or --cache
     except OSError as exc:
         print(f"{InputError.label}: {exc}", file=sys.stderr)
         return InputError.exit_code

@@ -8,10 +8,10 @@ The module class has four generators, recorded by multiplicity:
     TorF2   R/((t-1), 2), the one-dimensional F_2 module
 
 Tensor products, Tor_1 and localizations at the prime sites of R are
-table-driven.  The tables are shipped as a checksummed JSON data file
-and are regenerated only by the resolution verifier in
-:mod:`crystalk.oracle`; the file also records the kernel and image of
-multiplication by (1 - t), which no code here reads.
+table-driven.  The tables are read only from the checksummed JSON data
+file shipped in the package, and are regenerated only by the resolution
+verifier in :mod:`crystalk.oracle`; the file also records the kernel and
+image of multiplication by (1 - t), which no code here reads.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ __all__ = [
     "load_tables",
     "canonical_table_bytes",
     "table_checksum",
-    "TABLE_ENV_VAR",
 ]
 
 CLASS_ORDER = ("FreeR", "TrivZ", "SignZ", "TorF2")
-TABLE_ENV_VAR = "CRYSTALK_TABLE_PATH"
-_TABLE_RESOURCE = "repring_tables.json"
+_TABLE_FILE = os.path.join(os.path.dirname(__file__), "data", "repring_tables.json")
 
 
 class RModuleSum(Frozen):
@@ -110,18 +108,13 @@ ODD_MINUS = PrimeSite("OddMinus", 3)
 
 
 def _load_table_bytes() -> bytes:
-    """The table file's bytes, from ``CRYSTALK_TABLE_PATH`` or the package.
+    """The bytes of the packaged table file, the tables' only source.
 
-    A file the user named that cannot be read raises its ``OSError``; a
-    packaged file that cannot be read is a broken install, not an input
+    A packaged file that cannot be read is a broken install, not an input
     fault, and raises ``TableIntegrityError``.
     """
-    named = os.environ.get(TABLE_ENV_VAR)
-    if named:
-        with open(named, "rb") as fh:
-            return fh.read()
     try:
-        with open(os.path.join(os.path.dirname(__file__), "data", _TABLE_RESOURCE), "rb") as fh:
+        with open(_TABLE_FILE, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise TableIntegrityError(f"packaged table file cannot be read: {exc}") from None

@@ -18,7 +18,7 @@ import crystalk
 from crystalk import cli, oracle
 from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
-from crystalk.repring import _load_table_bytes, load_tables
+from crystalk.repring import _load_table_bytes, canonical_table_bytes, load_tables, table_checksum
 from crystalk.toruskt import build_report
 
 PM = {"n": 2, "matrix": [[1, 0], [0, -1]]}
@@ -526,6 +526,41 @@ class TestVerify:
             f"input error: n = {n} exceeds the verify sweep maximum n <= {VERIFY_MAX_N}\n"
         )
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_exits_2_before_the_corpus(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
+        code = main(["verify", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: n must be at least 1\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_disagreeing_verifier_exits_4_after_the_sweep(self, capsys, monkeypatch, fmt):
+        real = oracle.tate_invariants
+        calls = []
+
+        def wrong_once(m):
+            calls.append(m)
+            inv = real(m)
+            return inv._replace(a=inv.a + 1) if len(calls) == 1 else inv
+
+        monkeypatch.setattr(oracle, "tate_invariants", wrong_once)
+        code = main(["verify", "--n", "2", "--seed", "1", "--count", "1", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "internal invariant violation: 1 verifier mismatches\n"
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["failures"] == 1
+            assert [row["ok"] for row in doc["results"]] == [False, True, True, True]
+            assert [k for k, ok in doc["results"][0]["checks"].items() if not ok] == ["tate"]
+        else:
+            lines = captured.out.splitlines()
+            assert lines[2].endswith("FAIL")
+            assert all(line.endswith("pass") for line in lines[3:-1])
+            assert lines[-1] == "failures: 1"
+
     def test_count_above_cap_exits_2_before_the_skip_notice(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
         count = VERIFY_MAX_COUNT + 1
@@ -561,12 +596,49 @@ class TestCatalog:
         assert all(rec["ok"] for rec in doc["entries"])
         assert {rec["name"] for rec in doc["entries"]} == {e.name for e in CATALOG}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wrong_expected_value_exits_4_after_the_listing(self, capsys, monkeypatch, fmt):
+        first = CATALOG[0]._replace(expected_k0=CATALOG[0].expected_k0 + 1)
+        monkeypatch.setattr(cli, "CATALOG", (first, *CATALOG[1:]))
+        code = main(["catalog", "--check", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == (
+            "internal invariant violation: 1 catalog entries failed recomputation\n"
+        )
+        if fmt == "json":
+            oks = [rec["ok"] for rec in json.loads(captured.out)["entries"]]
+            assert oks == [False] + [True] * (len(CATALOG) - 1)
+        else:
+            lines = captured.out.splitlines()
+            assert lines[0].endswith("  MISMATCH")
+            assert all(line.endswith("  ok") for line in lines[1:])
+
     def test_listing(self, capsys):
         code = main(["catalog"])
         out = capsys.readouterr().out
         assert code == 0
         for name in ("infinite-dihedral", "pm-type", "cm-swap"):
             assert name in out
+
+
+def run_package_copy(tmp_path, argv, table_bytes=None):
+    """``python -m crystalk argv`` on a copy of the package under ``tmp_path``
+    whose table file holds ``table_bytes``, or is missing."""
+    shutil.copytree(
+        Path(crystalk.__file__).parent,
+        tmp_path / "crystalk",
+        ignore=shutil.ignore_patterns("__pycache__", "repring_tables.json"),
+    )
+    if table_bytes is not None:
+        (tmp_path / "crystalk" / "data" / "repring_tables.json").write_bytes(table_bytes)
+    return subprocess.run(
+        [sys.executable, "-m", "crystalk", *argv],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
 
 
 class TestTableIntegrity:
@@ -578,13 +650,7 @@ class TestTableIntegrity:
     def test_checksum_mismatch_exits_4(self, tmp_path, argv):
         doc = json.loads(_load_table_bytes())
         doc["sha256"] = "0" * 64
-        bad = tmp_path / "tampered.json"
-        bad.write_text(json.dumps(doc))
-        src = str(Path(crystalk.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": src, "CRYSTALK_TABLE_PATH": str(bad)}
-        run = subprocess.run(
-            [sys.executable, "-m", "crystalk", *argv], env=env, capture_output=True, text=True
-        )
+        run = run_package_copy(tmp_path, argv, json.dumps(doc).encode())
         assert run.returncode == 4
         assert run.stdout == ""
         assert run.stderr.startswith(
@@ -592,48 +658,19 @@ class TestTableIntegrity:
         )
         assert run.stderr.count("\n") == 1
 
-
     @pytest.mark.parametrize(
-        "argv, named, code, message",
-        [
-            (
-                ["cstar", "--catalog", "pm-type"],
-                None,
-                4,
-                "internal invariant violation: packaged table file cannot be read: [Errno 2]",
-            ),
-            (
-                ["verify", "--n", "2", "--count", "1"],
-                None,
-                4,
-                "internal invariant violation: packaged table file cannot be read: [Errno 2]",
-            ),
-            (["cstar", "--catalog", "pm-type"], "missing.json", 2, "input error: [Errno 2]"),
-        ],
-        ids=["cstar", "verify", "named-file"],
+        "argv",
+        [["cstar", "--catalog", "pm-type"], ["verify", "--n", "2", "--count", "1"]],
+        ids=["cstar", "verify"],
     )
-    def test_table_file_that_cannot_be_opened(self, tmp_path, argv, named, code, message):
-        # a copy of the package without its table file; a table file the user
-        # names that cannot be read stays an input error
-        shutil.copytree(
-            Path(crystalk.__file__).parent,
-            tmp_path / "crystalk",
-            ignore=shutil.ignore_patterns("__pycache__", "repring_tables.json"),
-        )
-        env = {k: v for k, v in os.environ.items() if k != "CRYSTALK_TABLE_PATH"}
-        env["PYTHONPATH"] = str(tmp_path)
-        if named:
-            env["CRYSTALK_TABLE_PATH"] = str(tmp_path / named)
-        run = subprocess.run(
-            [sys.executable, "-m", "crystalk", *argv],
-            env=env,
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-        )
-        assert run.returncode == code
+    def test_table_file_that_cannot_be_opened(self, tmp_path, argv):
+        # a copy of the package without its table file is a broken install
+        run = run_package_copy(tmp_path, argv)
+        assert run.returncode == 4
         assert run.stdout == ""
-        assert run.stderr.startswith(message)
+        assert run.stderr.startswith(
+            "internal invariant violation: packaged table file cannot be read: [Errno 2]"
+        )
         assert run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -650,7 +687,7 @@ class TestTableIntegrity:
     def test_unreadable_table_file_exits_4(self, tmp_path, capsys, monkeypatch, payload, message):
         bad = tmp_path / "tables.json"
         bad.write_bytes(payload)
-        monkeypatch.setenv("CRYSTALK_TABLE_PATH", str(bad))
+        monkeypatch.setattr("crystalk.repring._TABLE_FILE", str(bad))
         load_tables.cache_clear()
         try:
             code = main(["cstar", "--catalog", "pm-type"])
@@ -661,6 +698,40 @@ class TestTableIntegrity:
         assert captured.out == ""
         assert captured.err.startswith(f"internal invariant violation: {message}")
         assert captured.err.count("\n") == 1
+
+    def test_environment_cannot_change_a_report(self, tmp_path, capsys, monkeypatch):
+        """The packaged file is the tables' only source: a table file named in
+        the environment is never read, not even one that vouches for its own
+        edited tables with a matching checksum."""
+        doc = json.loads(_load_table_bytes())
+        doc["tables"]["localize"]["SignZ"]["MinMinus"]["free_rank"] = 6
+        doc["sha256"] = table_checksum(doc["tables"])
+        swapped = tmp_path / "swapped.json"
+        swapped.write_bytes(canonical_table_bytes(doc))
+        argv = ["cstar", "--catalog", "pm-type", "--format", "json"]
+
+        # read as the packaged file, the swapped tables do change the report
+        monkeypatch.setattr("crystalk.repring._TABLE_FILE", str(swapped))
+        load_tables.cache_clear()
+        try:
+            assert main(argv) == 0
+        finally:
+            load_tables.cache_clear()
+        swapped_report = capsys.readouterr().out
+
+        runs = []
+        for named in (None, swapped, tmp_path / "missing.json"):
+            env = buffered_child_env()
+            env.pop("CRYSTALK_TABLE_PATH", None)
+            if named is not None:
+                env["CRYSTALK_TABLE_PATH"] = str(named)
+            run = subprocess.run(
+                [sys.executable, "-m", "crystalk", *argv], env=env, capture_output=True
+            )
+            runs.append((run.returncode, run.stdout, run.stderr))
+        assert runs[0][0] == 0 and runs[0][2] == b""
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[0][1].decode() != swapped_report
 
 
 class TestStartup:

@@ -12,7 +12,6 @@ from crystalk.repring import (
     ODD_MINUS,
     ODD_PLUS,
     RModuleSum,
-    TABLE_ENV_VAR,
     load_tables,
     localize,
     rank,
@@ -202,26 +201,12 @@ class TestFrozenTableFile:
         doc = {"spec_version": "1.0", "sha256": "0" * 64, "tables": load_tables()}
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
-        monkeypatch.setenv(TABLE_ENV_VAR, str(bad))
+        monkeypatch.setattr("crystalk.repring._TABLE_FILE", str(bad))
         load_tables.cache_clear()
         try:
             with pytest.raises(TableIntegrityError):
                 load_tables()
         finally:
-            monkeypatch.delenv(TABLE_ENV_VAR)
-            load_tables.cache_clear()
-
-    def test_env_override_roundtrip(self, tmp_path, monkeypatch):
-        from crystalk.oracle import render_table_file_bytes
-
-        copy = tmp_path / "tables.json"
-        copy.write_bytes(render_table_file_bytes())
-        monkeypatch.setenv(TABLE_ENV_VAR, str(copy))
-        load_tables.cache_clear()
-        try:
-            assert load_tables()["tensor"]["FreeR*FreeR"] == {"FreeR": 1}
-        finally:
-            monkeypatch.delenv(TABLE_ENV_VAR)
             load_tables.cache_clear()
 
 
