@@ -28,7 +28,13 @@ CASES = [
     for entry in CATALOG
     for command, *extra in (("classify",), ("ranks", "--route", "both"), ("cstar",))
     for fmt in ("text", "json")
-] + [["verify", "--n", "4", "--seed", "7", "--count", "1", "--format", "json"]]
+] + [["verify", "--n", "4", "--seed", "7", "--count", "1", "--format", "json"]] + [
+    # appended after the older cases so that their order in the file is kept
+    ["ranks", "--route", route, "--catalog", entry.name, "--format", fmt]
+    for entry in CATALOG
+    for route in ("delocalized", "kunneth")
+    for fmt in ("text", "json")
+]
 
 
 def run_case(argv):
