@@ -16,12 +16,8 @@ import sys
 import time
 
 from crystalk.intlin import IntMatrix
-from crystalk.lattice import canonical_matrix, classify, validate_involution
+from crystalk.lattice import ActionClass, canonical_matrix, classify, validate_involution
 from crystalk.toruskt import integral_k_theory
-
-
-def split_matrix(n: int, r: int) -> IntMatrix:
-    return canonical_matrix(r, n - r, 0)
 
 
 def main() -> int:
@@ -37,19 +33,20 @@ def main() -> int:
             ("point reflection", -IntMatrix.identity(n)),
         ]
         for r in range(1, n):
-            cases.append((f"split r={r}", split_matrix(n, r)))
+            cases.append((f"split r={r}", canonical_matrix(r, n - r, 0)))
         if n == 2:
             cases.append(("swap", IntMatrix.from_rows([[0, 1], [1, 0]])))
         for name, matrix in cases:
             lat = validate_involution(matrix)
             report = integral_k_theory(lat)
+            cls = classify(lat)
             note = report.scope_flag.value
-            if classify(lat).value == "MixedSplit":
+            if cls is ActionClass.MIXED_SPLIT:
                 # integral_k_theory ran kunneth_assembly, which raises
                 # InternalInvariantError unless both routes agree
                 note += ", routes agree"
             print(
-                f"{n:>3} {name:<22} {classify(lat).value:<18} "
+                f"{n:>3} {name:<22} {cls.value:<18} "
                 f"{report.k0:>6} {report.k1:>6}  {note}"
             )
     print(f"\nswept ranks 1..{args.max_n} in {time.perf_counter() - start:.2f}s")

@@ -11,12 +11,9 @@ import argparse
 import pathlib
 import sys
 
-from crystalk import oracle
+from crystalk import oracle, repring
 
-TABLE_FILE = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "src" / "crystalk" / "data" / "repring_tables.json"
-)
+TABLE_FILE = pathlib.Path(repring._TABLE_FILE)
 
 
 def main() -> int:
@@ -29,7 +26,7 @@ def main() -> int:
 
     rendered = oracle.render_table_file_bytes()
     if args.check:
-        if TABLE_FILE.read_bytes() == rendered:
+        if repring._load_table_bytes() == rendered:
             print(f"{TABLE_FILE}: byte-identical with regenerated tables")
             return 0
         print(f"{TABLE_FILE}: DIFFERS from regenerated tables", file=sys.stderr)

