@@ -12,6 +12,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.toruskt import build_report
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 CASES = [
     [command, *extra, "--catalog", entry.name, "--format", fmt]
@@ -34,6 +37,13 @@ CASES = [
     for entry in CATALOG
     for route in ("delocalized", "kunneth")
     for fmt in ("text", "json")
+] + [
+    ["catalog", *check, "--format", fmt] for check in ([], ["--check"]) for fmt in ("text", "json")
+] + [
+    ["verify", "--n", "4", "--seed", "7", "--count", "1", "--format", "text"],
+    # odd n: two non-split classes and the grid verifier's odd digit split
+    ["verify", "--n", "5", "--seed", "7", "--count", "1", "--format", "text"],
+    ["verify", "--n", "5", "--seed", "7", "--count", "1", "--format", "json"],
 ]
 
 
@@ -71,6 +81,22 @@ def test_every_canonical_report_up_to_n8_is_pinned():
                 for kind in ("torus", "cstar"):
                     h.update(json.dumps(build_report(lat, kind), sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == REPORTS_SHA256
+
+
+# sha256 of scripts/rank_sweep.py --max-n 12 stdout without its final timing line
+RANK_SWEEP_SHA256 = "3953b8c1ea26f3e8ae2d93b6bf2131cbd14de79103189a88a02dd2c6a6fc19bf"
+
+
+def test_rank_sweep_table_is_pinned():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "rank_sweep.py"), "--max-n", "12"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    *table, timing = run.stdout.splitlines(keepends=True)
+    assert timing.startswith("swept ranks 1..12 in ")
+    assert hashlib.sha256("".join(table).encode()).hexdigest() == RANK_SWEEP_SHA256
+    assert run.stderr == ""
 
 
 if __name__ == "__main__":
