@@ -40,14 +40,14 @@ def main() -> int:
             lat = validate_involution(matrix)
             report = integral_k_theory(lat)
             cls = classify(lat)
-            note = report.scope_flag.value
+            note = report["scope_flag"]
             if cls is ActionClass.MIXED_SPLIT:
                 # integral_k_theory ran kunneth_assembly, which raises
                 # InternalInvariantError unless both routes agree
                 note += ", routes agree"
             print(
                 f"{n:>3} {name:<22} {cls.value:<18} "
-                f"{report.k0:>6} {report.k1:>6}  {note}"
+                f"{report['ranks']['k0']:>6} {report['ranks']['k1']:>6}  {note}"
             )
     print(f"\nswept ranks 1..{args.max_n} in {time.perf_counter() - start:.2f}s")
     return 0

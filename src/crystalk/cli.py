@@ -397,7 +397,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     rows = []
     failures = 0
-    canonical_ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
+    canonical_ranks: dict[tuple[int, int, int], dict] = {}
     by_class: dict[tuple[int, int, int], list[dict]] = {}  # rows, classes in first-seen order
     for member in corpus:
         lat = validate_involution(member.matrix)
@@ -408,8 +408,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks["tate"] = oracle.tate_invariants(member.matrix) == member.invariants
         report = integral_k_theory(lat)
         key = (inv.a, inv.b, inv.c)
-        expected = canonical_ranks.setdefault(key, report.ranks)
-        checks["conjugation"] = report.ranks == expected
+        expected = canonical_ranks.setdefault(key, report["ranks"])
+        checks["conjugation"] = report["ranks"] == expected
         checks["hexagon"] = hexagon_rank_sum(lat) == 0
         cls = analysis.action_class
         if cls is ActionClass.MIXED_SPLIT:
@@ -432,8 +432,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {
                 "invariants": inv._asdict(),
                 "class": cls.value,
-                "scope_flag": report.scope_flag.value,
-                "ranks": {"k0": report.k0, "k1": report.k1},
+                "scope_flag": report["scope_flag"],
+                "ranks": report["ranks"],
                 "checks": checks,
                 "ok": ok,
             }

@@ -20,7 +20,8 @@ from ._frozen import Frozen
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
-    _f3_eigenranks,
+    _f3_add,
+    _f3_rank,
     _gf2_basis,
     _residue_masks,
     first_row_off_identity_square,
@@ -150,13 +151,14 @@ def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
 
     Hence c = r2, b = r3 - r2, a = n - r3 - r2, the fixed subtorus has
     dimension n - r3 = a + c, and its components are the 2^b elements
-    of the torsion of coker(A - I).  rank_F3(A + I) is computed as well,
-    and the complement identity is checked as a guard.
+    of the torsion of coker(A - I).  Only r3 is computed: the complement
+    identity follows from A·A = I, so checking it here would catch nothing.
     """
     n = a_mat.rows
     masks = _residue_masks(a_mat)
     r2 = len(_gf2_basis(odd ^ 1 << i for i, (odd, _, _) in enumerate(masks)))
-    r3, _ = _f3_eigenranks([v[1:] for v in masks])
+    # subtracting I adds 2 on the diagonal
+    r3 = _f3_rank(_f3_add((ones, twos), (0, 1 << i)) for i, (_, ones, twos) in enumerate(masks))
     inv = StructureInvariants(a=n - r3 - r2, b=r3 - r2, c=r2)
 
     if inv.c >= 1:

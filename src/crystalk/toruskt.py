@@ -9,13 +9,12 @@ For an involution A on Z^n acting on the n-torus, this module computes
   assembly with a replayable torsion-freeness certificate, and
 * the K-theory of the reduced C*-algebra of Z^n x| Z/2 by dualizing.
 
-The two routes are independent and every public entry point checks
+The two routes are independent, and :func:`integral_k_theory` checks
 them against each other where both apply.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any, NamedTuple
 
 from .errors import InternalInvariantError, ScopeError
@@ -35,7 +34,6 @@ from .repring import (
 
 __all__ = [
     "SPEC_VERSION",
-    "ScopeFlag",
     "FixedSetDescription",
     "CohomologyAction",
     "fixed_set",
@@ -56,10 +54,9 @@ SPEC_VERSION = "1.0"
 _J_BRANCH_SITES = (MIN_MINUS, ODD_MINUS)
 _I_BRANCH_SITES = (MIN_PLUS, ODD_PLUS, DYADIC)
 
-
-class ScopeFlag(enum.Enum):
-    INTEGRAL_CERTIFIED = "IntegralCertified"
-    RATIONAL_ONLY = "RationalOnly"
+# the report's scope_flag values
+_INTEGRAL_CERTIFIED = "IntegralCertified"
+_RATIONAL_ONLY = "RationalOnly"
 
 
 class FixedSetDescription(NamedTuple):
@@ -78,21 +75,10 @@ class CohomologyAction(NamedTuple):
     odd_anti: int
 
 
-class KRankReport(NamedTuple):
-    """Per-degree ranks plus, where validated, integral structure.
-
-    ``certificate`` is the ``{"steps": [...]}`` object the report emits.
-    """
-
-    k0: int
-    k1: int
-    scope_flag: ScopeFlag
-    module_structure: tuple[RModuleSum, RModuleSum] | None = None
-    certificate: dict | None = None
-
-    @property
-    def ranks(self) -> tuple[int, int]:
-        return (self.k0, self.k1)
+def _rank_fields(ranks: tuple[int, int], scope_flag: str, **extra: dict) -> dict:
+    """The rank fields of a report: ``ranks``, ``scope_flag`` and any of
+    ``module_structure`` and ``certificate``."""
+    return {"ranks": {"k0": ranks[0], "k1": ranks[1]}, "scope_flag": scope_flag, **extra}
 
 
 def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
@@ -162,8 +148,8 @@ def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
     return (action.odd_anti + h_even, action.even_anti + h_odd)
 
 
-def k_ranks_delocalized(lat: InvolutiveLattice) -> KRankReport:
-    """Equivariant K-theory ranks via the fixed-point (delocalized) formula.
+def k_ranks_delocalized(lat: InvolutiveLattice) -> tuple[int, int]:
+    """Equivariant K-theory ranks (k0, k1) via the fixed-point (delocalized) formula.
 
     Degree-0 rank is the invariant even cohomology plus the even
     cohomology of the fixed set; degree 1 likewise with odd parts.
@@ -171,11 +157,7 @@ def k_ranks_delocalized(lat: InvolutiveLattice) -> KRankReport:
     """
     action = cohomology_invariants(lat)
     h_even, h_odd = _fixed_cohomology_ranks(lat)
-    return KRankReport(
-        k0=action.even_inv + h_even,
-        k1=action.odd_inv + h_odd,
-        scope_flag=ScopeFlag.RATIONAL_ONLY,
-    )
+    return (action.even_inv + h_even, action.odd_inv + h_odd)
 
 
 def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
@@ -191,8 +173,8 @@ def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
     """
     half = 2 ** (lat.n - 1)
     k0m, k1m = twisted_ranks(lat)
-    deloc = k_ranks_delocalized(lat)
-    return half - k0m + deloc.k0 - half + k1m - deloc.k1
+    k0, k1 = k_ranks_delocalized(lat)
+    return half - k0m + k0 - half + k1m - k1
 
 
 def _step(step: str, inputs: dict, outputs: dict, anchor: str) -> dict:
@@ -211,7 +193,7 @@ def _require_split(lat: InvolutiveLattice) -> None:
         )
 
 
-def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
+def kunneth_assembly(lat: InvolutiveLattice) -> dict:
     """Rank computation through the Kunneth/localization pipeline.
 
     Valid exactly for the split mixed class (c = 0, 1 <= a <= n-1).
@@ -234,6 +216,7 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
     5. rank_formula: the delocalized formula evaluates the rank, and
        the two routes are compared entry by entry.
 
+    Returns the report's rank fields with the five steps as its certificate.
     Raises ScopeError for trivial, free, or non-split actions.
     """
     _require_split(lat)
@@ -308,10 +291,8 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
 
     ranks = module_rank(t_deg0), module_rank(t_deg1)
     deloc = k_ranks_delocalized(lat)
-    if deloc.ranks != ranks:
-        raise InternalInvariantError(
-            f"route disagreement: assembly {ranks}, delocalized {deloc.ranks}"
-        )
+    if deloc != ranks:
+        raise InternalInvariantError(f"route disagreement: assembly {ranks}, delocalized {deloc}")
     step5 = _step(
         "rank_formula",
         {
@@ -321,7 +302,7 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
         {
             "k0": ranks[0],
             "k1": ranks[1],
-            "delocalized": {"k0": deloc.k0, "k1": deloc.k1},
+            "delocalized": {"k0": deloc[0], "k1": deloc[1]},
             "routes_agree": True,
         },
         "rank equals the sum over group elements of invariant cohomology ranks of fixed sets",
@@ -330,12 +311,7 @@ def kunneth_assembly(lat: InvolutiveLattice) -> KRankReport:
     certificate = {"steps": [step1, step2, step3, step4, step5]}
     if any(collect_torsion_flags(certificate)):
         raise InternalInvariantError("torsion flag raised inside a split-case certificate")
-    return KRankReport(
-        k0=ranks[0],
-        k1=ranks[1],
-        scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
-        certificate=certificate,
-    )
+    return _rank_fields(ranks, _INTEGRAL_CERTIFIED, certificate=certificate)
 
 
 def collect_torsion_flags(certificate: dict) -> list[bool]:
@@ -357,8 +333,9 @@ def collect_torsion_flags(certificate: dict) -> list[bool]:
     return flags
 
 
-def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
-    """Equivariant K-theory of the torus, dispatched by action class.
+def integral_k_theory(lat: InvolutiveLattice) -> dict:
+    """Equivariant K-theory of the torus, dispatched by action class, as
+    the rank fields of the report.
 
     Trivial and free actions get closed-form module structures, checked
     against the delocalized ranks; the split mixed class goes through
@@ -369,7 +346,7 @@ def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
     if cls is ActionClass.MIXED_SPLIT:
         return kunneth_assembly(lat)
     if cls is ActionClass.MIXED_NONSPLIT:
-        return k_ranks_delocalized(lat)
+        return _rank_fields(k_ranks_delocalized(lat), _RATIONAL_ONLY)
     n = lat.n
     if cls is ActionClass.TRIVIAL:
         case, modules = "trivial", (RModuleSum(free=2 ** (n - 1)),) * 2
@@ -383,26 +360,19 @@ def integral_k_theory(lat: InvolutiveLattice) -> KRankReport:
             "for an action free away from the origin, degree 0 is a split "
             "extension of the two rank-1 ideals and degree 1 vanishes"
         )
+    ranks = module_rank(modules[0]), module_rank(modules[1])
+    if k_ranks_delocalized(lat) != ranks:
+        raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
+    structure = {"k0": modules[0].as_dict(), "k1": modules[1].as_dict()}
     step = _step(
         f"{case}_action_structure",
         {"n": n},
-        {
-            "k0_module": modules[0].as_dict(),
-            "k1_module": modules[1].as_dict(),
-            "torsion_flag": False,
-        },
+        {"k0_module": structure["k0"], "k1_module": structure["k1"], "torsion_flag": False},
         anchor,
     )
-    report = KRankReport(
-        k0=module_rank(modules[0]),
-        k1=module_rank(modules[1]),
-        scope_flag=ScopeFlag.INTEGRAL_CERTIFIED,
-        module_structure=modules,
-        certificate={"steps": [step]},
+    return _rank_fields(
+        ranks, _INTEGRAL_CERTIFIED, module_structure=structure, certificate={"steps": [step]}
     )
-    if k_ranks_delocalized(lat).ranks != report.ranks:
-        raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
-    return report
 
 
 def structure_report(lat: InvolutiveLattice) -> dict:
@@ -432,26 +402,17 @@ def build_report(lat: InvolutiveLattice, kind: str = "torus") -> dict:
     """
     if kind not in ("torus", "cstar"):
         raise ValueError(f"unknown report kind {kind!r}")
-    report = integral_k_theory(lat)
     out = structure_report(lat)
     out["theory"] = "equivariant-torus" if kind == "torus" else "group-cstar"
-    out["ranks"] = {"k0": report.k0, "k1": report.k1}
-    out["scope_flag"] = report.scope_flag.value
-    if report.module_structure is not None:
-        out["module_structure"] = {
-            "k0": report.module_structure[0].as_dict(),
-            "k1": report.module_structure[1].as_dict(),
-        }
-    if report.certificate is not None:
-        out["certificate"] = report.certificate
+    out.update(integral_k_theory(lat))
     notes: list[str] = []
-    if report.scope_flag is ScopeFlag.RATIONAL_ONLY:
+    if out["scope_flag"] == _RATIONAL_ONLY:
         notes.append(
             "the split-case closed form 3*2^(n-2) is not validated for actions "
             "with regular summands; the reported ranks are rational ranks agreed "
             "on by two independent routes"
         )
-    if kind == "cstar" and report.scope_flag is ScopeFlag.INTEGRAL_CERTIFIED:
+    if kind == "cstar" and out["scope_flag"] == _INTEGRAL_CERTIFIED:
         notes.append(
             "homology ranks equal cohomology ranks per degree: the certified "
             "theory is finitely generated free, so dualizing preserves them"

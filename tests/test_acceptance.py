@@ -14,7 +14,6 @@ from crystalk.intlin import IntMatrix
 from crystalk.lattice import ActionClass, classify, validate_involution
 from crystalk.repring import table_checksum
 from crystalk.toruskt import (
-    ScopeFlag,
     build_report,
     cohomology_invariants,
     collect_torsion_flags,
@@ -67,7 +66,7 @@ def test_criterion_1_free_case():
         for n in range(1, 11):
             report = build_report(validate_involution(minus_identity(n)), "cstar")
             assert report["ranks"] == {"k0": 3 * 2 ** (n - 1), "k1": 0}, n
-            assert report["scope_flag"] == ScopeFlag.INTEGRAL_CERTIFIED.value
+            assert report["scope_flag"] == "IntegralCertified"
 
 
 def test_criterion_2_split_mixed_case():
@@ -79,17 +78,16 @@ def test_criterion_2_split_mixed_case():
             for r in range(1, n):
                 lat = validate_involution(split_matrix(n, r))
                 assembled = kunneth_assembly(lat)
-                deloc = k_ranks_delocalized(lat)
-                assert assembled.ranks == expected, (n, r)
-                assert deloc.ranks == expected, (n, r)
-                assert len(assembled.certificate["steps"]) == 5
+                assert assembled["ranks"] == {"k0": expected[0], "k1": expected[1]}, (n, r)
+                assert k_ranks_delocalized(lat) == expected, (n, r)
+                assert len(assembled["certificate"]["steps"]) == 5
 
 
 def test_criterion_3_infinite_dihedral():
     with criterion(3, 1.0, "infinite dihedral: K0 = Z^3, K1 = 0"):
         report = build_report(validate_involution(IntMatrix.from_rows([[-1]])), "cstar")
         assert report["ranks"] == {"k0": 3, "k1": 0}
-        assert report["scope_flag"] == ScopeFlag.INTEGRAL_CERTIFIED.value
+        assert report["scope_flag"] == "IntegralCertified"
 
 
 def test_criterion_4_route_agreement_on_corpora():
@@ -101,12 +99,13 @@ def test_criterion_4_route_agreement_on_corpora():
             for member in corpus(n, 25):
                 lat = validate_involution(member.matrix)
                 inv = member.invariants
-                ranks = k_ranks_delocalized(lat).ranks
+                ranks = k_ranks_delocalized(lat)
                 key = (inv.a, inv.b, inv.c)
                 expected = by_class.setdefault(key, ranks)
                 assert ranks == expected, (n, key)
                 if classify(lat) is ActionClass.MIXED_SPLIT:
-                    assert kunneth_assembly(lat).ranks == ranks, (n, key)
+                    assembled = kunneth_assembly(lat)["ranks"]
+                    assert (assembled["k0"], assembled["k1"]) == ranks, (n, key)
 
 
 def test_criterion_5_oracle_equivalence():
@@ -159,9 +158,7 @@ def test_criterion_7_torsion_freeness_certificates():
                     runs.append(lat)
         assert runs
         for lat in runs:
-            report = integral_k_theory(lat)
-            certificate = report.certificate
-            assert certificate is not None
+            certificate = integral_k_theory(lat)["certificate"]
             flags = collect_torsion_flags(certificate)
             assert flags, "certificate must record localized shapes"
             assert not any(flags)
@@ -189,8 +186,7 @@ def test_criterion_9_out_of_scope_honesty():
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
         lat = validate_involution(swap)
 
-        deloc = k_ranks_delocalized(lat)
-        assert deloc.ranks == (2, 2)
+        assert k_ranks_delocalized(lat) == (2, 2)
 
         # second route composed purely from the brute-force verifiers
         action = oracle.exterior_action_invariants(swap)

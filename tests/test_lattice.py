@@ -4,6 +4,9 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from crystalk.intlin import (
     IntMatrix,
+    _f3_eigenranks,
+    _f3_rank,
+    _residue_masks,
     kernel_columns,
     random_unimodular,
     smith_normal_form,
@@ -277,5 +280,11 @@ class TestAnalysisRoutes:
 
     def test_non_involution_fails_the_f3_complement_check(self):
         # [[1, 1], [0, 1]] is unipotent: rank_F3(A - I) + rank_F3(A + I) = 1 + 2
+        masks = [v[1:] for v in _residue_masks(mat([[1, 1], [0, 1]]))]
         with pytest.raises(InternalInvariantError, match=r"do not complement to n = 2$"):
-            _analyse(mat([[1, 1], [0, 1]]))
+            _f3_eigenranks(masks)
+
+    def test_analysis_computes_one_f3_rank(self, count_calls):
+        calls = count_calls(_f3_rank)
+        _analyse(canonical_matrix(1, 2, 1))
+        assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""The package's value types: ten NamedTuple records and three read-only
+"""The package's value types: nine NamedTuple records and three read-only
 slotted classes, none of them a dataclass."""
 
 import copy
@@ -11,7 +11,7 @@ from crystalk.intlin import IntMatrix, smith_normal_form
 from crystalk.lattice import validate_involution
 from crystalk.oracle import fixed_grid_components, involution_corpus
 from crystalk.repring import MIN_PLUS, RModuleSum
-from crystalk.toruskt import cohomology_invariants, fixed_set, k_ranks_delocalized
+from crystalk.toruskt import cohomology_invariants, fixed_set
 
 PM = IntMatrix.from_rows([[1, 0], [0, -1]])
 
@@ -24,7 +24,6 @@ def records():
         lat.analysis,
         fixed_set(lat),
         cohomology_invariants(lat),
-        k_ranks_delocalized(lat),
         fixed_grid_components(PM, 2),
         involution_corpus(1, seed=0, count=1)[0],
         CATALOG[0],
@@ -34,7 +33,7 @@ def records():
 
 RECORD_IDS = [
     "SmithDecomposition", "StructureInvariants", "LatticeAnalysis", "FixedSetDescription",
-    "CohomologyAction", "KRankReport", "FixedGridResult", "CorpusMember", "CatalogEntry",
+    "CohomologyAction", "FixedGridResult", "CorpusMember", "CatalogEntry",
     "PrimeSite",
 ]
 
