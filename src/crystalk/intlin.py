@@ -336,38 +336,24 @@ def kernel_coordinates(snf: SmithDecomposition, vectors: IntMatrix) -> IntMatrix
 def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:
     """Index of the first row where M·M differs from I, or None if M·M = I.
 
-    M is given by its dense rows; the check runs on their nonzeros
-    (see ``_first_sparse_row_off_identity_square``).
+    Exact, by Kronecker substitution on the nonzeros of each row: row t
+    of the square M is packed into P_t = sum_j M[t][j]·2^(w·j), signed
+    slots of width w = bit_length(r·m) + 2 for r the largest absolute
+    row sum of M and m its largest absolute entry, so sum_t M[i][t]·P_t
+    packs row i of M·M.  Every entry of M·M - I has absolute value at
+    most r·m + 1 < 2^(w-1), and packing is injective on such entries, so
+    the packed row is 2^(w·i) exactly when row i of M·M is the unit row.
     """
     columns = range(len(rows))
-    return _first_sparse_row_off_identity_square(
-        [(list(compress(columns, r)), list(compress(r, r))) for r in rows]
-    )
-
-
-def _first_sparse_row_off_identity_square(
-    rows: Sequence[tuple[Sequence[int], Sequence[int]]]
-) -> int | None:
-    """Index of the first row where M·M differs from I, or None if M·M = I.
-
-    Row t of the square matrix M is given by its nonzeros, as the pair
-    (column indices, values).  Exact, by Kronecker substitution: row t
-    is packed into one integer P_t = sum_j M[t][j]·2^(w·j) with signed
-    slots of width w = bit_length(r·m) + 2, for r the largest absolute
-    row sum of M and m its largest absolute entry, so
-    sum_t M[i][t]·P_t packs row i of M·M.  Every entry of M·M - I has
-    absolute value at most r·m + 1 < 2^(w-1), and packing is injective
-    on such entries, so the packed row equals 2^(w·i) exactly when row
-    i of M·M is the i-th unit row.
-    """
-    sizes = [list(map(abs, vals)) for _, vals in rows]
+    sparse = [(list(compress(columns, r)), list(compress(r, r))) for r in rows]
+    sizes = [list(map(abs, vals)) for _, vals in sparse]
     bound = max(map(sum, sizes), default=0) * max(map(max, filter(None, sizes)), default=0)
     w = bound.bit_length() + 2
     packed = [
         sum(map(operator.lshift, vals, map(operator.mul, cols, repeat(w))))
-        for cols, vals in rows
+        for cols, vals in sparse
     ]
-    for i, (cols, vals) in enumerate(rows):
+    for i, (cols, vals) in enumerate(sparse):
         if sum(map(operator.mul, vals, map(packed.__getitem__, cols))) != 1 << (w * i):
             return i
     return None
@@ -416,20 +402,20 @@ def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
     return len(table)
 
 
-def _f3_eigenranks(masks: Sequence[tuple[int, int]]) -> tuple[int, int]:
+def _f3_eigenranks(rows: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
     """Ranks over F_3 of M - I and M + I, for M given by its rows over F_3.
 
-    Each row is held as (positions of 1, positions of 2).  For an
-    involution the F_3 eigenspaces of +1 and -1 split the space, so the
-    two ranks complement to the dimension; anything else raises.
+    Each row is held as (positions of 1, positions of 2, the bit of its
+    diagonal entry).  For an involution the F_3 eigenspaces of +1 and -1
+    split the space, so the two ranks complement to the dimension;
+    anything else raises.
     """
-    dim = len(masks)
     # subtracting I adds 2 on the diagonal, adding I adds 1
-    minus = _f3_rank(_f3_add(v, (0, 1 << i)) for i, v in enumerate(masks))
-    plus = _f3_rank(_f3_add(v, (1 << i, 0)) for i, v in enumerate(masks))
-    if minus + plus != dim:
+    minus = _f3_rank(_f3_add((ones, twos), (0, bit)) for ones, twos, bit in rows)
+    plus = _f3_rank(_f3_add((ones, twos), (bit, 0)) for ones, twos, bit in rows)
+    if minus + plus != len(rows):
         raise InternalInvariantError(
-            f"F_3 ranks {minus} + {plus} of M -+ I do not complement to n = {dim}"
+            f"F_3 ranks {minus} + {plus} of M -+ I do not complement to n = {len(rows)}"
         )
     return minus, plus
 

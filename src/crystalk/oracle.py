@@ -3,11 +3,10 @@
 Every quantity the main pipeline derives is recomputed here by a
 different method at desk scale:
 
-* the cohomology action, from the explicit signed action on the full
-  exterior-algebra basis, its index sets held as bitmasks and each
-  Λ^k(A) as sparse rows (ranks of M - I and M + I read over F_3 by the
-  helper the lattice analysis also uses, and certified exact by an
-  integer check of M·M = I on the nonzeros; no trace and no eigenvalue
+* the cohomology action, from the explicit signed action of A mod 3 on
+  the full exterior-algebra basis, bit-sliced over subset bitmasks; the
+  kernels of M - I and M + I are read from F_3 eliminations and are
+  exact because A·A = I is checked over Z (no trace and no eigenvalue
   count);
 * fixed-set component counts, from enumeration of rational torus
   points clustered by an exact same-component certificate; the points
@@ -39,9 +38,9 @@ from .intlin import (
     IntMatrix,
     _bareiss,
     _f3_eigenranks,
-    _first_sparse_row_off_identity_square,
     _gf2_basis,
     _residue_masks,
+    first_row_off_identity_square,
     kernel_columns,
     kernel_coordinates,
     random_unimodular,
@@ -168,49 +167,71 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     return _images_matrix(_exterior_images(a)[k], n, k)
 
 
-def _degree_ranks(images: list[dict[int, int]], n: int, k: int) -> tuple[int, int]:
-    """Ranks over Q of M - I and M + I, for M = Λ^k(A) given by its column images.
+@lru_cache(maxsize=None)
+def _wedge_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """Per i < n, the slots T where e_T ∧ e_i is +e_(T + i), and where it is -e_(T + i).
 
-    No rational elimination runs, and no dense row is built: each image
-    gives the nonzeros of one row of the transpose M^T, and both steps
-    read only those.  First one exact integer check of M·M = I, on
-    sparse rows: over Q it holds exactly when rank(M - I) + rank(M + I)
-    = dim, so its failure is the not-semisimple error.  Then both ranks
-    are read over F_3 from the residues of the nonzeros, and they are
-    exact: a rank over F_p never exceeds the rank over Q (a minor
-    nonzero mod p is nonzero), and for odd p the reduction of M·M = I
-    splits F_p^dim into the ±1 eigenspaces, so the F_p ranks sum to dim
-    just as the Q ranks do.  Working on the transpose changes nothing:
-    (M^T)² = I exactly when M² = I, and transposing keeps ranks.
+    Slot T holds the coefficient of e_T, T a subset bitmask; the sign is
+    (-1)^j, j counting the elements of T above i, and no T holding i is in either.
     """
-    index = _exterior_basis(n)[0][k]
-    rows = []
-    masks = []
-    for img in images:
-        cols = list(map(index.__getitem__, img))
-        vals = list(img.values())
-        ones = twos = 0
-        for i, cf in zip(cols, vals):
-            residue = cf % 3
-            if residue == 1:
-                ones |= 1 << i
-            elif residue == 2:
-                twos |= 1 << i
-        rows.append((cols, vals))
-        masks.append((ones, twos))
-    if _first_sparse_row_off_identity_square(rows) is not None:
-        raise InternalInvariantError("exterior action is not semisimple over Q")
-    return _f3_eigenranks(masks)
+    out = []
+    for i in range(n):
+        masks = [0, 0]
+        # T = high·2^(i+1) + low with low < 2^i: a block of 2^i slots per high
+        for high in range(1 << (n - 1 - i)):
+            masks[high.bit_count() & 1] |= (1 << (1 << i)) - 1 << (high << (i + 1))
+        out.append((masks[0], masks[1]))
+    return tuple(out)
+
+
+def _f3_exterior_images(a: IntMatrix) -> list[tuple[int, int]]:
+    """The image of e_S under Λ(A mod 3) for every subset bitmask S.
+
+    Each image is bit-sliced as (the slots T where the coefficient of
+    e_T is 1, those where it is 2).  With m = max S, the image of e_S is
+    that of e_(S - m) wedged with column m of A mod 3; wedging with e_i
+    shifts the ``_wedge_masks`` slots by 2^i, swapping ones and twos
+    where the sign flips, and an entry 2 mod 3 swaps the two masks.
+    """
+    n = a.rows
+    wedges = _wedge_masks(n)
+    # per column of A mod 3: (shift, slots added, slots subtracted) per nonzero
+    columns = [
+        [(1 << i, *(wedges[i] if x % 3 == 1 else wedges[i][::-1]))
+         for i, x in enumerate(a.column(j)) if x % 3]
+        for j in range(n)
+    ]
+    images = [(1, 0)]
+    for s in range(1, 1 << n):
+        last = s.bit_length() - 1
+        ones, twos = images[s ^ 1 << last]
+        acc1 = acc2 = 0
+        for shift, plus, minus in columns[last]:
+            add1 = (ones & plus | twos & minus) << shift
+            add2 = (twos & plus | ones & minus) << shift
+            t = (acc1 | add2) ^ (acc2 | add1)  # acc += add, as ``_f3_add``
+            acc1, acc2 = (acc2 | add2) ^ t, (acc1 | add1) ^ t
+        images.append((acc1, acc2))
+    return images
 
 
 def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
     """Invariant/anti-invariant cohomology dimensions by explicit solve.
 
-    Builds the full exterior action once and, per degree, the exact
-    kernel dimensions of M - I and M + I for M = Λ^k(A), certified by
-    an exact integer check of M·M = I and read over F_3 (see
-    ``_degree_ranks``).  Independent of the eigenvalue-count route: no
-    trace and no eigenvalue count enters.
+    After one exact check of A·A = I, Λ(A mod 3) is built once
+    (``_f3_exterior_images``) and, for each parity of degree, the kernels
+    of M - I and M + I are read from two F_3 eliminations on the columns
+    of M, the sum of the Λ^k(A mod 3) of that parity.  No trace and no
+    eigenvalue count enters.
+
+    Exactness: by Cauchy-Binet Λ^k(A)² = Λ^k(A²) = I, and Λ^k(A) mod 3
+    = Λ^k(A mod 3) as its entries are minors of A.  An involution over Q
+    or over F_3 splits the space into its ±1 eigenspaces, so both rank
+    pairs sum to C(n, k); no F_3 rank exceeds its Q rank (a minor nonzero
+    mod 3 is nonzero), so the pairs agree.  The F_3 complement check is
+    kept: ker(M - I) meets ker(M + I) in 0, so each degree's rank sum is
+    at least C(n, k), and the parity's sum is its dimension exactly when
+    every Λ^k(A mod 3) is an involution.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
@@ -219,21 +240,14 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
         raise DimensionTooLargeError(
             f"exterior verifier bounded at n <= {EXTERIOR_MAX_DIM}, got {n}"
         )
-    images = _exterior_images(a)
-    even_inv = odd_inv = even_anti = odd_anti = 0
-    for k in range(n + 1):
-        dim = len(images[k])
-        minus, plus = _degree_ranks(images[k], n, k)
-        inv_dim, anti_dim = dim - minus, dim - plus
-        if k % 2 == 0:
-            even_inv += inv_dim
-            even_anti += anti_dim
-        else:
-            odd_inv += inv_dim
-            odd_anti += anti_dim
-    return CohomologyAction(
-        even_inv=even_inv, odd_inv=odd_inv, even_anti=even_anti, odd_anti=odd_anti
-    )
+    if first_row_off_identity_square(a.to_rows()) is not None:
+        raise InternalInvariantError("exterior action is not semisimple over Q")
+    rows: tuple[list, list] = ([], [])  # per parity of degree: (ones, twos, diagonal bit)
+    for s, (ones, twos) in enumerate(_f3_exterior_images(a)):
+        rows[s.bit_count() & 1].append((ones, twos, 1 << s))
+    (even_minus, even_plus), (odd_minus, odd_plus) = map(_f3_eigenranks, rows)
+    even, odd = map(len, rows)
+    return CohomologyAction(even - even_minus, odd - odd_minus, even - even_plus, odd - odd_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ class TestAnalysisRoutes:
 
     def test_non_involution_fails_the_f3_complement_check(self):
         # [[1, 1], [0, 1]] is unipotent: rank_F3(A - I) + rank_F3(A + I) = 1 + 2
-        masks = [v[1:] for v in _residue_masks(mat([[1, 1], [0, 1]]))]
+        masks = [(*v[1:], 1 << i) for i, v in enumerate(_residue_masks(mat([[1, 1], [0, 1]])))]
         with pytest.raises(InternalInvariantError, match=r"do not complement to n = 2$"):
             _f3_eigenranks(masks)
 

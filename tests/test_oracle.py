@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import operator
 
 import pytest
@@ -143,9 +144,11 @@ class TestExteriorAction:
     )
     def test_images_are_the_minors(self, rows):
         # the coefficient of e_T in the image of e_S is det A[T, S]; index
-        # sets are bitmasks, each degree in combinations order
+        # sets are bitmasks, each degree in combinations order; the F_3
+        # images hold the same minors mod 3, indexed by the mask of S
         n = len(rows)
         images = oracle._exterior_images(mat(rows))
+        f3_images = oracle._f3_exterior_images(mat(rows))
         for k in range(n + 1):
             subsets = list(itertools.combinations(range(n), k))
             assert len(images[k]) == len(subsets)
@@ -155,6 +158,10 @@ class TestExteriorAction:
                     for t in subsets
                 }
                 assert image == {t: d for t, d in minors.items() if d}
+                assert f3_images[sum(1 << i for i in s)] == (
+                    sum(1 << t for t, d in minors.items() if d % 3 == 1),
+                    sum(1 << t for t, d in minors.items() if d % 3 == 2),
+                )
 
     def test_top_power_is_determinant(self):
         m, _ = random_unimodular(4, seed=3, steps=15)
@@ -166,21 +173,37 @@ class TestExteriorAction:
         assert exterior_power_matrix(m, 1) == m
 
     def test_builds_exterior_images_once(self, count_calls):
-        calls = count_calls(oracle._exterior_images)
+        # the F_3 action once, and no exact integer image at all
+        f3_calls = count_calls(oracle._f3_exterior_images)
+        exact_calls = count_calls(oracle._exterior_images)
         m = canonical_matrix(1, 2, 1)
         exterior_action_invariants(m)
-        assert calls == [(m,)]
+        assert f3_calls == [(m,)]
+        assert exact_calls == []
 
     def test_f3_ranks_match_rank_exact(self):
+        # differential: each kernel dimension is C(n, k) - rank over Q of
+        # Λ^k(A) -+ I, by Bareiss on the exact integer exterior powers
+        # (``exterior_power_matrix``, its images built once per member)
         for n in range(1, 9):
             for member in involution_corpus(n, seed=3, count=1):
                 images = oracle._exterior_images(member.matrix)
+                dims = [0] * 4  # even_inv, odd_inv, even_anti, odd_anti
                 for k in range(n + 1):
                     m = oracle._images_matrix(images[k], n, k)
                     ident = IntMatrix.identity(m.rows)
-                    assert oracle._degree_ranks(images[k], n, k) == (
-                        rank_exact(m - ident),
-                        rank_exact(m + ident),
+                    assert m.rows == math.comb(n, k)
+                    dims[k % 2] += m.rows - rank_exact(m - ident)
+                    dims[2 + k % 2] += m.rows - rank_exact(m + ident)
+                assert exterior_action_invariants(member.matrix) == CohomologyAction(*dims)
+
+    def test_wedge_masks_split_the_slots_without_i(self):
+        for n in range(1, 7):
+            for i, (keep, flip) in enumerate(oracle._wedge_masks(n)):
+                for t in range(1 << n):
+                    above = (t >> i).bit_count() & 1
+                    assert (keep >> t & 1, flip >> t & 1) == (
+                        (0, 0) if t >> i & 1 else (1 - above, above)
                     )
 
     def test_makes_no_rank_exact_call(self, count_calls):
