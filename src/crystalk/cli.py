@@ -126,7 +126,7 @@ def _load_matrix(args: argparse.Namespace) -> IntMatrix:
     if args.catalog:
         return _catalog_by_name(args.catalog).matrix
     try:
-        if args.input == "-":
+        if args.input in (None, "-"):
             text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -492,11 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--input", "-i", default="-",
-            help="path to a JSON file {'n': ..., 'matrix': [[...]]}; '-' for stdin",
+        source = p.add_mutually_exclusive_group()
+        source.add_argument(
+            "--input", "-i",
+            help="path to a JSON file {'n': ..., 'matrix': [[...]]}; stdin if '-' or not given",
         )
-        p.add_argument("--catalog", help="use a named catalog entry as input")
+        source.add_argument("--catalog", help="use a named catalog entry as input")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_classify = sub.add_parser("classify", help="invariants, class, and fixed-set data")

@@ -15,8 +15,7 @@ different method at desk scale:
   certificate bits both split as sums of the two halves' residues;
 * the module-arithmetic tables, from explicit free resolutions over
   Z[t]/(t^2 - 1) realized as integer matrices, homology via Smith
-  normal form; the (1 - t) column is regenerated and checksummed with
-  the others although no package code reads it;
+  normal form;
 * structure invariants, from the mod-2 quotients that define them, on
   integer kernel bases from one Smith normal form per quotient, whose
   V_inv gives the kernel coordinates;
@@ -91,70 +90,32 @@ def _gf2_rank_rows(m: IntMatrix) -> int:
 # exterior-algebra action
 
 
-@lru_cache(maxsize=None)
-def _exterior_basis(n: int) -> tuple[list[dict[int, int]], list[list[tuple[int, int]]]]:
-    """The exterior basis of Z^n, degree by degree, on subset bitmasks.
+def _exterior_images(a: IntMatrix) -> list[dict[int, int]]:
+    """The image of e_S under Λ(A) for every subset bitmask S.
 
-    An index set S is the bitmask sum(1 << i for i in S).  Returns, per
-    degree k, the position of each mask in itertools-combinations order
-    (the dict lists the masks in that order), and for each S of degree
-    k >= 1 the position in degree k - 1 of S minus its largest element,
-    paired with that element.
-    """
-    index: list[dict[int, int]] = []
-    split: list[list[tuple[int, int]]] = [[]]
-    for k in range(n + 1):
-        masks = [sum(1 << i for i in s) for s in combinations(range(n), k)]
-        index.append({m: i for i, m in enumerate(masks)})
-        if k:
-            lasts = [m.bit_length() - 1 for m in masks]
-            split.append([(index[k - 1][m ^ 1 << last], last) for m, last in zip(masks, lasts)])
-    return index, split
-
-
-def _exterior_images(a: IntMatrix) -> list[list[dict[int, int]]]:
-    """Images of every exterior basis vector e_S, degree by degree.
-
-    The image of e_S maps the bitmask of each T to the coefficient of
-    e_T; degree k entries follow the order of ``_exterior_basis(n)``.
-    With m the largest element of S, the image of e_S is the image of
-    e_(S - m) wedged with A e_m, and for i not in T,
-    e_T ∧ e_i = (-1)^j e_(T + i) where j counts the elements of T above
-    i: the bits of T >> i.
+    Each image maps the bitmask of each T to the coefficient of e_T.
+    With m = max S, the image of e_S is that of e_(S - m) wedged with
+    A e_m, and for i not in T, e_T ∧ e_i = (-1)^j e_(T + i) where j
+    counts the elements of T above i: the bits of T >> i.
     """
     n = a.rows
-    split = _exterior_basis(n)[1]
     # nonzero entries of each column of A, as (row, bit of the row, entry)
     columns = [[(i, 1 << i, x) for i, x in enumerate(a.column(j)) if x] for j in range(n)]
-    images: list[list[dict[int, int]]] = [[{0: 1}]]
-    for k in range(1, n + 1):
-        prev = images[k - 1]
-        level: list[dict[int, int]] = []
-        for p, last in split[k]:
-            col = columns[last]
-            acc: dict[int, int] = {}
-            for t, cf in prev[p].items():
-                for i, bit, av in col:
-                    if t & bit:
-                        continue
-                    u = t | bit
-                    if (t >> i).bit_count() & 1:
-                        acc[u] = acc.get(u, 0) - cf * av
-                    else:
-                        acc[u] = acc.get(u, 0) + cf * av
-            level.append({t: c for t, c in acc.items() if c})
-        images.append(level)
+    images: list[dict[int, int]] = [{0: 1}]
+    for s in range(1, 1 << n):
+        last = s.bit_length() - 1
+        acc: dict[int, int] = {}
+        for t, cf in images[s ^ 1 << last].items():
+            for i, bit, av in columns[last]:
+                if t & bit:
+                    continue
+                u = t | bit
+                if (t >> i).bit_count() & 1:
+                    acc[u] = acc.get(u, 0) - cf * av
+                else:
+                    acc[u] = acc.get(u, 0) + cf * av
+        images.append({t: c for t, c in acc.items() if c})
     return images
-
-
-def _images_matrix(images: list[dict[int, int]], n: int, k: int) -> IntMatrix:
-    """Matrix whose columns are the degree-k images, on the combination basis."""
-    index = _exterior_basis(n)[0][k]
-    rows = [[0] * len(images) for _ in images]
-    for col, img in enumerate(images):
-        for t, cf in img.items():
-            rows[index[t]][col] = cf
-    return IntMatrix.from_rows(rows)
 
 
 def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
@@ -164,7 +125,9 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     n = a.rows
     if not 0 <= k <= n:
         raise ValueError("degree out of range")
-    return _images_matrix(_exterior_images(a)[k], n, k)
+    images = _exterior_images(a)
+    masks = [sum(1 << i for i in s) for s in combinations(range(n), k)]
+    return IntMatrix.from_rows([[images[s].get(t, 0) for s in masks] for t in masks])
 
 
 @lru_cache(maxsize=None)
@@ -581,36 +544,6 @@ def _localize_cell(name: str, kind: str) -> dict:
     return {"free_rank": free, "torsion_flag": False}
 
 
-def _one_minus_t_cell(name: str) -> dict:
-    if name == "TorF2":
-        return {"kernel": {"TorF2": 1}, "image": {}}
-    rep = _REPS[name]
-    dim = rep.rows
-    m1 = IntMatrix.identity(dim) - rep
-    snf = smith_normal_form(m1)
-    kern = kernel_columns(snf)
-    if kern.cols:
-        kernel = _label_free_lattice(kernel_coordinates(snf, rep @ kern))
-    else:
-        kernel = {}
-    s = sum(1 for d in snf.divisors if d)
-    if s:
-        # (1 - t) V[:, j] = 0 for j >= s and t commutes with 1 - t, so t acts
-        # on the image basis (1 - t) V[:, :s] by the top-left block of V^-1 t V
-        t_v = (snf.V_inv @ rep @ snf.V).to_rows()
-        image = _label_free_lattice(IntMatrix.from_rows([row[:s] for row in t_v[:s]]))
-    else:
-        image = {}
-    cell = {"kernel": kernel, "image": image}
-    if kern.cols == 0 and s == dim:
-        index = 1
-        for d in snf.divisors:
-            index *= d
-        if index != 1:
-            cell["image_index"] = index
-    return cell
-
-
 def regenerate_tables() -> dict:
     """Recompute the full module-arithmetic tables from resolutions.
 
@@ -633,13 +566,11 @@ def regenerate_tables() -> dict:
         name: {kind: _localize_cell(name, kind) for kind in _SITE_KINDS}
         for name in CLASS_ORDER
     }
-    one_minus_t = {name: _one_minus_t_cell(name) for name in CLASS_ORDER}
     return {
         "classes": list(CLASS_ORDER),
         "tensor": tensor_table,
         "tor1": tor_table,
         "localize": localize_table,
-        "one_minus_t": one_minus_t,
     }
 
 

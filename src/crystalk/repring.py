@@ -10,8 +10,7 @@ The module class has four generators, recorded by multiplicity:
 Tensor products, Tor_1 and localizations at the prime sites of R are
 table-driven.  The tables are read only from the checksummed JSON data
 file shipped in the package, and are regenerated only by the resolution
-verifier in :mod:`crystalk.oracle`; the file also records the kernel and
-image of multiplication by (1 - t), which no code here reads.
+verifier in :mod:`crystalk.oracle`.
 """
 
 from __future__ import annotations

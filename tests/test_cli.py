@@ -72,6 +72,14 @@ class TestClassify:
         assert code == 0
         assert doc["class"] == "FreeOutsideOrigin"
 
+    def test_input_dash_reads_stdin(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 1, "matrix": [[-1]]})))
+        code, doc = run_json(capsys, ["classify", "--input", "-", "--format", "json"])
+        assert code == 0
+        assert doc["class"] == "FreeOutsideOrigin"
+
     def test_shear_exits_3_with_entry(self, tmp_path, capsys):
         code = main(["classify", "--input", write_input(tmp_path, SHEAR)])
         err = capsys.readouterr().err
@@ -168,6 +176,14 @@ class TestClassify:
     def test_wrong_shape_names_expected_shape(self, tmp_path, capsys, doc):
         assert main(["classify", "--input", write_input(tmp_path, doc)]) == 2
         assert '{"n": int, "matrix": [[int, ...], ...]}' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_input_and_catalog_exclude_each_other(self, tmp_path, capsys, stdin):
+        path = "-" if stdin else write_input(tmp_path, SWAP)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--catalog", "pm-type", "--input", path])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
     def test_json_is_the_report_header(self, capsys, entry):
@@ -357,7 +373,8 @@ class TestCstar:
         assert after.startswith(before) and after.count(b"\n") == 2
 
     def test_pm_type_key_is_pinned(self, tmp_path, capsys, monkeypatch):
-        """The key bytes do not change, so existing caches keep hitting; the
+        """The key changes exactly when the command, input, spec, tables or
+        version change, so a cache keeps hitting until one of them does; the
         table sha256 in the key is the one verified on load, with no second
         serialization of the tables."""
         load_tables()
@@ -365,7 +382,7 @@ class TestCstar:
         cache = tmp_path / "cache.jsonl"
         assert main(["cstar", "--catalog", "pm-type", "--cache", str(cache)]) == 0
         assert json.loads(cache.read_bytes())["key"] == (
-            "530b1a627fd8d1d6c70b908a601b61c55ed13a93dba626c5a0c71716998394fe"
+            "c084be5c71697258e46d34e8f62346a45a14ad786be31ee093b6b6d013de68ab"
         )
 
 

@@ -144,21 +144,22 @@ class TestExteriorAction:
     )
     def test_images_are_the_minors(self, rows):
         # the coefficient of e_T in the image of e_S is det A[T, S]; index
-        # sets are bitmasks, each degree in combinations order; the F_3
-        # images hold the same minors mod 3, indexed by the mask of S
+        # sets are bitmasks, and both builders index their images by the
+        # mask of S; the F_3 images hold the same minors mod 3
         n = len(rows)
         images = oracle._exterior_images(mat(rows))
         f3_images = oracle._f3_exterior_images(mat(rows))
+        assert len(images) == len(f3_images) == 1 << n
         for k in range(n + 1):
             subsets = list(itertools.combinations(range(n), k))
-            assert len(images[k]) == len(subsets)
-            for s, image in zip(subsets, images[k]):
+            for s in subsets:
                 minors = {
                     sum(1 << i for i in t): mat([[rows[i][j] for j in s] for i in t]).det()
                     for t in subsets
                 }
-                assert image == {t: d for t, d in minors.items() if d}
-                assert f3_images[sum(1 << i for i in s)] == (
+                mask = sum(1 << i for i in s)
+                assert images[mask] == {t: d for t, d in minors.items() if d}
+                assert f3_images[mask] == (
                     sum(1 << t for t, d in minors.items() if d % 3 == 1),
                     sum(1 << t for t, d in minors.items() if d % 3 == 2),
                 )
@@ -172,6 +173,33 @@ class TestExteriorAction:
         m = mat([[1, 2], [0, -1]])
         assert exterior_power_matrix(m, 1) == m
 
+    def test_degree_zero_is_the_unit(self):
+        assert exterior_power_matrix(mat([[0, 1], [1, 0]]), 0).to_rows() == [[1]]
+
+    def test_power_entries_are_minors_in_combination_order(self):
+        # row T, column S of Λ^k(A) is det A[T, S], both in
+        # itertools.combinations order
+        rows = [[2, -1, 0], [1, 3, 5], [-4, 0, 7]]
+        for k in range(4):
+            subsets = list(itertools.combinations(range(3), k))
+            assert exterior_power_matrix(mat(rows), k).to_rows() == [
+                [mat([[rows[i][j] for j in s] for i in t]).det() for s in subsets]
+                for t in subsets
+            ]
+
+    @pytest.mark.parametrize(
+        "rows, k, message",
+        [
+            ([[1, 0]], 1, "square matrix required"),
+            ([[1, 0], [0, 1]], -1, "degree out of range"),
+            ([[1, 0], [0, 1]], 3, "degree out of range"),
+        ],
+        ids=["non-square", "negative-degree", "degree-above-n"],
+    )
+    def test_power_rejects(self, rows, k, message):
+        with pytest.raises(ValueError, match=message):
+            exterior_power_matrix(mat(rows), k)
+
     def test_builds_exterior_images_once(self, count_calls):
         # the F_3 action once, and no exact integer image at all
         f3_calls = count_calls(oracle._f3_exterior_images)
@@ -183,14 +211,15 @@ class TestExteriorAction:
 
     def test_f3_ranks_match_rank_exact(self):
         # differential: each kernel dimension is C(n, k) - rank over Q of
-        # Λ^k(A) -+ I, by Bareiss on the exact integer exterior powers
-        # (``exterior_power_matrix``, its images built once per member)
+        # Λ^k(A) -+ I, by Bareiss on the exact integer exterior powers, read
+        # from images built once per member and indexed by the mask of S
         for n in range(1, 9):
             for member in involution_corpus(n, seed=3, count=1):
                 images = oracle._exterior_images(member.matrix)
                 dims = [0] * 4  # even_inv, odd_inv, even_anti, odd_anti
                 for k in range(n + 1):
-                    m = oracle._images_matrix(images[k], n, k)
+                    masks = [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+                    m = mat([[images[s].get(t, 0) for s in masks] for t in masks])
                     ident = IntMatrix.identity(m.rows)
                     assert m.rows == math.comb(n, k)
                     dims[k % 2] += m.rows - rank_exact(m - ident)
@@ -408,6 +437,7 @@ class TestResolutionTor:
 
         doc = json.loads(render_table_file_bytes())
         assert doc["sha256"] == table_checksum(tables)
+        assert sorted(tables) == ["classes", "localize", "tensor", "tor1"]
 
 
 class TestCorpus:

@@ -121,7 +121,9 @@ class TestLocalize:
         }
 
     def test_trivial_dies_on_the_opposite_branch(self):
-        assert localize(TRIV, MIN_MINUS)["free_rank"] == 0
+        # and the sign class on the plus branch
+        for module, site in ((TRIV, MIN_MINUS), (SIGN, MIN_PLUS)):
+            assert localize(module, site)["free_rank"] == 0
 
     def test_torsion_dies_at_odd_sites(self):
         shape = localize(TOR, ODD_PLUS)
@@ -159,41 +161,6 @@ class TestLocalize:
                     y,
                     site.label(),
                 )
-
-
-def one_minus_t(name):
-    """(kernel, image, image index) of multiplication by (1 - t) on one class.
-
-    Read off the one_minus_t column of the frozen tables, which the
-    resolution verifier regenerates.
-    """
-    cell = load_tables()["one_minus_t"][name]
-    kernel, image = (RModuleSum.from_dict(cell[key]) for key in ("kernel", "image"))
-    return kernel, image, cell.get("image_index", 1)
-
-
-class TestMultOneMinusT:
-    def test_on_the_ring(self):
-        assert one_minus_t("FreeR") == (TRIV, SIGN, 1)
-
-    def test_on_trivial(self):
-        assert one_minus_t("TrivZ") == (TRIV, ZERO, 1)
-
-    def test_on_sign_acts_as_doubling(self):
-        assert one_minus_t("SignZ") == (ZERO, SIGN, 2)
-
-    def test_on_torsion(self):
-        assert one_minus_t("TorF2") == (TOR, ZERO, 1)
-
-    def test_vanishes_on_trivial_components_at_plus_sites(self):
-        # localized at any site containing (t - 1), the endomorphism is
-        # zero on trivial-class components: its image localizes to zero
-        image = one_minus_t("TrivZ")[1].scale(4)
-        for site in (MIN_PLUS, DYADIC, ODD_PLUS):
-            assert localize(image, site)["free_rank"] == 0
-        # and the sign part of a general image dies at the plus branch
-        image = one_minus_t("FreeR")[1] + one_minus_t("TrivZ")[1].scale(2)
-        assert localize(image, MIN_PLUS)["free_rank"] == 0
 
 
 class TestFrozenTableFile:
