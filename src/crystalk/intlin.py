@@ -6,10 +6,11 @@ needs is read off the transform that built it, so no solve runs a
 second Smith form.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, gives both the determinant and the rank over Q.  Integer
 kernels and kernel coordinates, an exact check of M·M = I on the
-nonzeros of each row, ranks over F_2 and F_3 on bitmask rows
-(including the ranks of M - I and M + I of an involution over F_3),
-exterior-power trace polynomials, and seeded unimodular matrices with
-their inverses.  Every operation works on arbitrary-precision Python
+nonzeros of each row, ranks over F_2 and F_3 on bitmask rows (the
+F_3 one from an echelon table whose leading positions a caller can
+read), bitmask rows cut out of one int by bytes, exterior-power
+trace polynomials, and seeded unimodular matrices with their
+inverses.  Every operation works on arbitrary-precision Python
 integers; nothing in this module touches floating point.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import operator
 import random
 from itertools import chain, compress, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._frozen import Frozen
 from .errors import InternalInvariantError
@@ -99,12 +100,17 @@ class IntMatrix(Frozen):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        columns = other.transpose().to_rows()
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(sum(map(operator.mul, row, col)) for row in self.to_rows() for col in columns),
+        c, e, oc = self.cols, self.entries, other.cols
+        rows = [e[i * c : i * c + c] for i in range(self.rows)]
+        columns = list(map(other.column, range(oc)))
+        # entry (i, j) is sum(map(mul, row i, column j)), all in C
+        pairs = map(
+            map,
+            repeat(operator.mul),
+            chain.from_iterable(map(repeat, rows, repeat(oc))),
+            chain.from_iterable(repeat(columns, self.rows)),
         )
+        return IntMatrix(self.rows, oc, tuple(map(sum, pairs)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -189,10 +195,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """
     nr, nc = m.rows, m.cols
     d = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
     # each column operation on V is mirrored as the inverse row operation on V^-1
-    v_inv = IntMatrix.identity(nc).to_rows()
+    v_inv = [row[:] for row in v]
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -293,11 +299,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             raise InternalInvariantError(f"divisor chain violated: {divisors}")
 
     return SmithDecomposition(
-        U=IntMatrix.from_rows(u),
-        D=IntMatrix(nr, nc, tuple(x for row in d for x in row)),
-        V=IntMatrix.from_rows(v),
+        U=IntMatrix(nr, nr, tuple(chain.from_iterable(u))),
+        D=IntMatrix(nr, nc, tuple(chain.from_iterable(d))),
+        V=IntMatrix(nc, nc, tuple(chain.from_iterable(v))),
         divisors=divisors,
-        V_inv=IntMatrix.from_rows(v_inv),
+        V_inv=IntMatrix(nc, nc, tuple(chain.from_iterable(v_inv))),
     )
 
 
@@ -383,15 +389,20 @@ def _f3_add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return (u[1] | v[1]) ^ t, (u[0] | v[0]) ^ t
 
 
-def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
-    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
+def _f3_pivots(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """Echelon table over F_3 of rows held as (positions of 1, positions of 2).
+
+    Each stored row is keyed by its leading position, where it holds 1;
+    a row is reduced only by the stored row of its current leading
+    position.
+    """
     table: dict[int, tuple[int, int]] = {}
     for ones, twos in rows:
-        while ones | twos:
-            p = (ones | twos).bit_length() - 1
+        support = ones | twos
+        while support:
+            p = support.bit_length() - 1
             pivot = table.get(p)
             if pivot is None:
-                # stored with a 1 at its leading position
                 table[p] = (ones, twos) if ones >> p & 1 else (twos, ones)
                 break
             # subtract the pivot where v holds 1, add it where v holds 2;
@@ -399,25 +410,20 @@ def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
             q1, q2 = (pivot[1], pivot[0]) if ones >> p & 1 else pivot
             t = (ones | q2) ^ (twos | q1)
             ones, twos = (twos | q2) ^ t, (ones | q1) ^ t
-    return len(table)
+            support = ones | twos
+    return table
 
 
-def _f3_eigenranks(rows: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
-    """Ranks over F_3 of M - I and M + I, for M given by its rows over F_3.
+def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
+    return len(_f3_pivots(rows))
 
-    Each row is held as (positions of 1, positions of 2, the bit of its
-    diagonal entry).  For an involution the F_3 eigenspaces of +1 and -1
-    split the space, so the two ranks complement to the dimension;
-    anything else raises.
-    """
-    # subtracting I adds 2 on the diagonal, adding I adds 1
-    minus = _f3_rank(_f3_add((ones, twos), (0, bit)) for ones, twos, bit in rows)
-    plus = _f3_rank(_f3_add((ones, twos), (bit, 0)) for ones, twos, bit in rows)
-    if minus + plus != len(rows):
-        raise InternalInvariantError(
-            f"F_3 ranks {minus} + {plus} of M -+ I do not complement to n = {len(rows)}"
-        )
-    return minus, plus
+
+def _byte_blocks(x: int, size: int, count: int) -> Iterator[int]:
+    """The nonnegative x cut into count blocks of size bytes, lowest first."""
+    data = x.to_bytes(size * count, "little")
+    blocks = (data[i : i + size] for i in range(0, size * count, size))
+    return map(int.from_bytes, blocks, repeat("little"))
 
 
 # x % 6 fixes x mod 2 and x mod 3; each table turns a residue into an ASCII bit

@@ -4,8 +4,9 @@ Every quantity the main pipeline derives is recomputed here by a
 different method at desk scale:
 
 * the cohomology action, from the explicit signed action of A mod 3 on
-  the full exterior-algebra basis, bit-sliced over subset bitmasks; the
-  kernels of M - I and M + I are read from F_3 eliminations and are
+  the full exterior-algebra basis, one bit-sliced matrix built by
+  doubling over blocks of subsets; one F_3 elimination per sign gives
+  the rank of each Λ^k(A mod 3) -+ I as its count of degree-k pivots,
   exact because A·A = I is checked over Z (no trace and no eigenvalue
   count);
 * fixed-set component counts, from enumeration of rational torus
@@ -29,14 +30,16 @@ import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, repeat
-from math import isqrt
+from math import comb, isqrt
 from typing import NamedTuple
 
 from .errors import DimensionTooLargeError, GridTooLargeError, InternalInvariantError
 from .intlin import (
     IntMatrix,
     _bareiss,
-    _f3_eigenranks,
+    _byte_blocks,
+    _f3_add,
+    _f3_pivots,
     _gf2_basis,
     _residue_masks,
     first_row_off_identity_square,
@@ -130,71 +133,94 @@ def exterior_power_matrix(a: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix.from_rows([[images[s].get(t, 0) for s in masks] for t in masks])
 
 
+def _block_width(n: int) -> int:
+    """Bits per block of ``_f3_exterior_images``: one slot per subset, whole bytes."""
+    return max(1 << n, 8)
+
+
+def _repeat(x: int, stride: int, count: int) -> int:
+    """x ORed in at offsets 0, stride, ..., (count - 1)·stride; count a power of 2."""
+    while count > 1:
+        x |= x << stride
+        stride, count = stride << 1, count >> 1
+    return x
+
+
 @lru_cache(maxsize=None)
 def _wedge_masks(n: int) -> tuple[tuple[int, int], ...]:
     """Per i < n, the slots T where e_T ∧ e_i is +e_(T + i), and where it is -e_(T + i).
 
     Slot T holds the coefficient of e_T, T a subset bitmask; the sign is
-    (-1)^j, j counting the elements of T above i, and no T holding i is in either.
+    (-1)^j, j counting the elements of T above i, and no T holding i is in
+    either.  Each mask is repeated over the 2^(n-1) blocks of
+    ``_block_width(n)`` bits that the last step of ``_f3_exterior_images``
+    wedges.
     """
+    width = _block_width(n)
     out = []
     for i in range(n):
         masks = [0, 0]
         # T = high·2^(i+1) + low with low < 2^i: a block of 2^i slots per high
         for high in range(1 << (n - 1 - i)):
             masks[high.bit_count() & 1] |= (1 << (1 << i)) - 1 << (high << (i + 1))
-        out.append((masks[0], masks[1]))
+        out.append(tuple(_repeat(x, width, 1 << (n - 1)) for x in masks))
     return tuple(out)
 
 
-def _f3_exterior_images(a: IntMatrix) -> list[tuple[int, int]]:
-    """The image of e_S under Λ(A mod 3) for every subset bitmask S.
+def _f3_exterior_images(a: IntMatrix) -> tuple[int, int]:
+    """Λ(A mod 3) as one bit-sliced matrix: (positions of 1, positions of 2).
 
-    Each image is bit-sliced as (the slots T where the coefficient of
-    e_T is 1, those where it is 2).  With m = max S, the image of e_S is
-    that of e_(S - m) wedged with column m of A mod 3; wedging with e_i
-    shifts the ``_wedge_masks`` slots by 2^i, swapping ones and twos
-    where the sign flips, and an entry 2 mod 3 swaps the two masks.
+    Block S, the bits from S·w on for w = ``_block_width(n)``, holds the
+    image of e_S: its bit T is the coefficient of e_T, T and S subset
+    bitmasks.  Step m wedges every built block S < 2^m at once with
+    column m of A mod 3, the image of e_m, and ORs the result in as the
+    blocks S + 2^m: e_(S + 2^m) = e_S ∧ e_m, as m lies above S.  Wedging
+    with e_i shifts the ``_wedge_masks`` slots by 2^i, swapping ones and
+    twos where the sign flips, and an entry 2 mod 3 swaps the two masks;
+    no slot leaves its block, as T + 2^i < 2^n for T without i.
     """
     n = a.rows
+    width = _block_width(n)
     wedges = _wedge_masks(n)
-    # per column of A mod 3: (shift, slots added, slots subtracted) per nonzero
-    columns = [
-        [(1 << i, *(wedges[i] if x % 3 == 1 else wedges[i][::-1]))
-         for i, x in enumerate(a.column(j)) if x % 3]
-        for j in range(n)
-    ]
-    images = [(1, 0)]
-    for s in range(1, 1 << n):
-        last = s.bit_length() - 1
-        ones, twos = images[s ^ 1 << last]
+    ones, twos = 1, 0  # the image of e_∅ is e_∅
+    for m in range(n):
         acc1 = acc2 = 0
-        for shift, plus, minus in columns[last]:
-            add1 = (ones & plus | twos & minus) << shift
-            add2 = (twos & plus | ones & minus) << shift
-            t = (acc1 | add2) ^ (acc2 | add1)  # acc += add, as ``_f3_add``
-            acc1, acc2 = (acc2 | add2) ^ t, (acc1 | add1) ^ t
-        images.append((acc1, acc2))
-    return images
+        for i, x in enumerate(a.column(m)):
+            if x % 3:
+                plus, minus = wedges[i] if x % 3 == 1 else wedges[i][::-1]
+                add1 = (ones & plus | twos & minus) << (1 << i)
+                add2 = (twos & plus | ones & minus) << (1 << i)
+                t = (acc1 | add2) ^ (acc2 | add1)  # acc += add, as ``_f3_add``
+                acc1, acc2 = (acc2 | add2) ^ t, (acc1 | add1) ^ t
+        ones, twos = ones | acc1 << (width << m), twos | acc2 << (width << m)
+    return ones, twos
 
 
 def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
     """Invariant/anti-invariant cohomology dimensions by explicit solve.
 
-    After one exact check of A·A = I, Λ(A mod 3) is built once
-    (``_f3_exterior_images``) and, for each parity of degree, the kernels
-    of M - I and M + I are read from two F_3 eliminations on the columns
-    of M, the sum of the Λ^k(A mod 3) of that parity.  No trace and no
-    eigenvalue count enters.
+    After one exact check of A·A = I, Λ(A mod 3) is built once as one
+    bit-sliced matrix M (``_f3_exterior_images``).  M - I and M + I are
+    cut into their 2^n columns and each is reduced by one F_3
+    elimination; the rank of Λ^k(A mod 3) -+ I is the number of pivots
+    in degree k, and each kernel dimension is C(n, k) less it.  No trace
+    and no eigenvalue count enters.
 
     Exactness: by Cauchy-Binet Λ^k(A)² = Λ^k(A²) = I, and Λ^k(A) mod 3
     = Λ^k(A mod 3) as its entries are minors of A.  An involution over Q
     or over F_3 splits the space into its ±1 eigenspaces, so both rank
     pairs sum to C(n, k); no F_3 rank exceeds its Q rank (a minor nonzero
-    mod 3 is nonzero), so the pairs agree.  The F_3 complement check is
-    kept: ker(M - I) meets ker(M + I) in 0, so each degree's rank sum is
-    at least C(n, k), and the parity's sum is its dimension exactly when
-    every Λ^k(A mod 3) is an involution.
+    mod 3 is nonzero), so the pairs agree.
+
+    Ranks per degree: column S of M -+ I, with |S| = k, has its support
+    in the degree-k slots, so its leading position has degree k, and the
+    elimination reduces it only by stored columns of that leading
+    position, which by induction are supported in degree k too.  The
+    table splits by degree, and its pivots of degree k span the columns
+    of Λ^k(A mod 3) -+ I: their count is that block's rank.  The F_3
+    complement check is kept per degree: ker(M - I) meets ker(M + I) in
+    0, so each degree's rank sum is at least C(n, k), and it is C(n, k)
+    exactly when Λ^k(A mod 3) is an involution.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
@@ -205,12 +231,26 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
         )
     if first_row_off_identity_square(a.to_rows()) is not None:
         raise InternalInvariantError("exterior action is not semisimple over Q")
-    rows: tuple[list, list] = ([], [])  # per parity of degree: (ones, twos, diagonal bit)
-    for s, (ones, twos) in enumerate(_f3_exterior_images(a)):
-        rows[s.bit_count() & 1].append((ones, twos, 1 << s))
-    (even_minus, even_plus), (odd_minus, odd_plus) = map(_f3_eigenranks, rows)
-    even, odd = map(len, rows)
-    return CohomologyAction(even - even_minus, odd - odd_minus, even - even_plus, odd - odd_plus)
+    images = _f3_exterior_images(a)
+    width = _block_width(n)
+    diagonal = _repeat(1, width + 1, 1 << n)  # bit S of block S
+    ranks = []
+    # subtracting I adds 2 on the diagonal, adding I adds 1
+    for shifted in (_f3_add(images, (0, diagonal)), _f3_add(images, (diagonal, 0))):
+        columns = zip(*(_byte_blocks(x, width >> 3, 1 << n) for x in shifted))
+        ranks.append(Counter(map(int.bit_count, _f3_pivots(columns))))
+    minus, plus = ranks
+    dims = [0] * 4  # even_inv, odd_inv, even_anti, odd_anti
+    for k in range(n + 1):
+        size = comb(n, k)
+        if minus[k] + plus[k] != size:
+            raise InternalInvariantError(
+                f"F_3 ranks {minus[k]} + {plus[k]} of M -+ I in degree {k}"
+                f" do not complement to C({n}, {k}) = {size}"
+            )
+        dims[k % 2] += size - minus[k]
+        dims[2 + k % 2] += size - plus[k]
+    return CohomologyAction(*dims)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,30 @@ def test_every_canonical_report_up_to_n8_is_pinned():
     assert h.hexdigest() == REPORTS_SHA256
 
 
+# sha256 of the stdout of verify --n k --seed 7 --count 1 --format json, with
+# --skip-grid above n = 6; the replay above records only n = 4 and n = 5
+VERIFY_SHA256 = {
+    1: "9317da05fd6027be72b4f91cc0c645fb0dbd3b60699fd06a6aadce6220504175",
+    2: "714d15547a898efa1bedf55bada3ef2b70fc9d01d2465edd3d4880fdb9354132",
+    3: "c91656f507cbe34fe1e7600194c0034c68f4cf810ed4909fd2669846671fd84a",
+    4: "ee7a8aa1bc5f2c9390cd6561212ec4cd586cd91547c81654cb955ef36fbda484",
+    5: "0db5989e065c15e10c94d341bc6f5b6f96db042fb3c5ca9e5cb32e04c5735193",
+    6: "958a81cf09042d9fae41eb582d3a972867d8bb791c884d2a211cd8b071ccc38d",
+    7: "90d789a27fe282aad9ca772e83aacea47de7836d47c0f0216572d6db0bb819d4",
+    8: "dde60caf2bd633c72e2e8f0765e081e5df3ea96bfdd42ccdeea76788506ca0a4",
+    9: "19b25565ea052303b0101aafa7279dc8414e2f719ea46111a0737132d1ef5ec2",
+    10: "9eeb4ceebda1dc9375b041aad5e3bc8d8055043672b9332ef2e5de5fc8da42de",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_SHA256))
+def test_verify_json_is_pinned(n):
+    argv = ["verify", "--n", str(n), "--seed", "7", "--count", "1", "--format", "json"]
+    run = run_case(argv + ["--skip-grid"] * (n > 6))
+    assert (run["exit"], run["stderr"]) == (0, "")
+    assert hashlib.sha256(run["stdout"].encode()).hexdigest() == VERIFY_SHA256[n]
+
+
 # sha256 of scripts/rank_sweep.py --max-n 12 stdout without its final timing line
 RANK_SWEEP_SHA256 = "3953b8c1ea26f3e8ae2d93b6bf2131cbd14de79103189a88a02dd2c6a6fc19bf"
 

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from crystalk import oracle
 from crystalk.errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from crystalk.intlin import (
     IntMatrix,
-    _f3_eigenranks,
     _f3_rank,
-    _residue_masks,
     kernel_columns,
     random_unimodular,
     smith_normal_form,
@@ -278,11 +277,15 @@ class TestAnalysisRoutes:
                 assert analysis.fixed_components == 2**inv.b
                 assert analysis.fixed_dim == inv.a + inv.c
 
-    def test_non_involution_fails_the_f3_complement_check(self):
-        # [[1, 1], [0, 1]] is unipotent: rank_F3(A - I) + rank_F3(A + I) = 1 + 2
-        masks = [(*v[1:], 1 << i) for i, v in enumerate(_residue_masks(mat([[1, 1], [0, 1]])))]
-        with pytest.raises(InternalInvariantError, match=r"do not complement to n = 2$"):
-            _f3_eigenranks(masks)
+    def test_non_involution_fails_the_f3_complement_check(self, monkeypatch):
+        # A = I passes the integer check, but its stand-in Λ(A mod 3) has the
+        # unipotent [[1, 1], [0, 1]] in degree 1: ranks 1 + 2 over F_3; block S
+        # of the images, 8 bits wide at n = 2, holds the image of e_S
+        images = 1 | 1 << (8 + 1) | 1 << (16 + 1) | 1 << (16 + 2) | 1 << (24 + 3), 0
+        monkeypatch.setattr(oracle, "_f3_exterior_images", lambda a: images)
+        message = r"^F_3 ranks 1 \+ 2 of M -\+ I in degree 1 do not complement to C\(2, 1\) = 2$"
+        with pytest.raises(InternalInvariantError, match=message):
+            oracle.exterior_action_invariants(IntMatrix.identity(2))
 
     def test_analysis_computes_one_f3_rank(self, count_calls):
         calls = count_calls(_f3_rank)

@@ -144,12 +144,14 @@ class TestExteriorAction:
     )
     def test_images_are_the_minors(self, rows):
         # the coefficient of e_T in the image of e_S is det A[T, S]; index
-        # sets are bitmasks, and both builders index their images by the
-        # mask of S; the F_3 images hold the same minors mod 3
+        # sets are bitmasks, and the exact builder indexes its images by the
+        # mask of S; block S of the one F_3 matrix holds the same minors mod 3
         n = len(rows)
         images = oracle._exterior_images(mat(rows))
-        f3_images = oracle._f3_exterior_images(mat(rows))
-        assert len(images) == len(f3_images) == 1 << n
+        ones, twos = oracle._f3_exterior_images(mat(rows))
+        width = oracle._block_width(n)
+        assert len(images) == 1 << n
+        assert max(ones, twos).bit_length() <= width << n
         for k in range(n + 1):
             subsets = list(itertools.combinations(range(n), k))
             for s in subsets:
@@ -159,7 +161,8 @@ class TestExteriorAction:
                 }
                 mask = sum(1 << i for i in s)
                 assert images[mask] == {t: d for t, d in minors.items() if d}
-                assert f3_images[mask] == (
+                block = (1 << width) - 1 << (mask * width)
+                assert ((ones & block) >> (mask * width), (twos & block) >> (mask * width)) == (
                     sum(1 << t for t, d in minors.items() if d % 3 == 1),
                     sum(1 << t for t, d in minors.items() if d % 3 == 2),
                 )
@@ -209,31 +212,53 @@ class TestExteriorAction:
         assert f3_calls == [(m,)]
         assert exact_calls == []
 
-    def test_f3_ranks_match_rank_exact(self):
+    def test_f3_ranks_match_rank_exact(self, monkeypatch):
         # differential: each kernel dimension is C(n, k) - rank over Q of
         # Λ^k(A) -+ I, by Bareiss on the exact integer exterior powers, read
-        # from images built once per member and indexed by the mask of S
+        # from images built once per member and indexed by the mask of S;
+        # the verifier's two F_3 eliminations (M - I, then M + I) have, in
+        # each degree k, as many pivots as that Bareiss rank
+        pivots, tables = oracle._f3_pivots, []
+
+        def recording(rows):
+            tables.append(pivots(rows))
+            return tables[-1]
+
+        monkeypatch.setattr(oracle, "_f3_pivots", recording)
         for n in range(1, 9):
             for member in involution_corpus(n, seed=3, count=1):
                 images = oracle._exterior_images(member.matrix)
                 dims = [0] * 4  # even_inv, odd_inv, even_anti, odd_anti
+                ranks = []
                 for k in range(n + 1):
                     masks = [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
                     m = mat([[images[s].get(t, 0) for s in masks] for t in masks])
                     ident = IntMatrix.identity(m.rows)
                     assert m.rows == math.comb(n, k)
-                    dims[k % 2] += m.rows - rank_exact(m - ident)
-                    dims[2 + k % 2] += m.rows - rank_exact(m + ident)
+                    ranks.append((rank_exact(m - ident), rank_exact(m + ident)))
+                    dims[k % 2] += m.rows - ranks[-1][0]
+                    dims[2 + k % 2] += m.rows - ranks[-1][1]
+                tables.clear()
                 assert exterior_action_invariants(member.matrix) == CohomologyAction(*dims)
+                minus, plus = ([p.bit_count() for p in table] for table in tables)
+                assert ranks == [(minus.count(k), plus.count(k)) for k in range(n + 1)]
 
     def test_wedge_masks_split_the_slots_without_i(self):
+        # the same split in each of the 2^(n-1) blocks, and nothing above them
         for n in range(1, 7):
+            width = oracle._block_width(n)
             for i, (keep, flip) in enumerate(oracle._wedge_masks(n)):
-                for t in range(1 << n):
-                    above = (t >> i).bit_count() & 1
+                assert max(keep, flip).bit_length() <= width << (n - 1)
+                for t in range(width << (n - 1)):
+                    slot = t % width
+                    above = (slot >> i).bit_count() & 1
                     assert (keep >> t & 1, flip >> t & 1) == (
-                        (0, 0) if t >> i & 1 else (1 - above, above)
+                        (0, 0) if slot >> n or slot >> i & 1 else (1 - above, above)
                     )
+
+    def test_zero_dimensional_torus(self):
+        # Λ of the 0 x 0 matrix is Λ^0 = Z, fixed: one invariant class in degree 0
+        assert exterior_action_invariants(IntMatrix(0, 0, ())) == CohomologyAction(1, 0, 0, 0)
 
     def test_makes_no_rank_exact_call(self, count_calls):
         calls = count_calls(rank_exact)
