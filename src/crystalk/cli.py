@@ -12,7 +12,6 @@ line that fails to open is one) or a stdout that cannot be written,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .intlin import IntMatrix
 from .lattice import ActionClass, validate_involution
-from .repring import _load_table_bytes, load_tables, table_checksum
+from .repring import _load_table_bytes, load_tables, sha256, table_checksum
 from .toruskt import (
     SPEC_VERSION,
     _require_split,
@@ -174,7 +173,7 @@ def _matrix_hash(m: IntMatrix) -> str:
     payload = json.dumps(
         {"n": m.rows, "matrix": m.to_rows()}, sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 # a line that can hold a JSON object: {...} inside JSON whitespace; under
@@ -316,7 +315,7 @@ def cmd_cstar(args: argparse.Namespace) -> int:
             "tables_sha256": table_checksum(load_tables()),
             "version": __version__,
         }
-        cache_key = hashlib.sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()
+        cache_key = sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()
         cached = _cache_lookup(args.cache, cache_key)
         if cached is not None:
             _emit(args, *cached)

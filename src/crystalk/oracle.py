@@ -26,7 +26,6 @@ different method at desk scale:
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -54,7 +53,7 @@ from .lattice import (
     invariants,
     validate_involution,
 )
-from .repring import _SITE_KINDS, CLASS_ORDER, canonical_table_bytes, table_checksum
+from .repring import _SITE_KINDS, CLASS_ORDER, canonical_table_bytes, sha256, table_checksum
 from .toruskt import SPEC_VERSION, CohomologyAction
 
 __all__ = [
@@ -677,7 +676,7 @@ _CORPUS_MAX_ENTRY = 5000
 
 
 def _derive_seed(*parts) -> int:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    digest = sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

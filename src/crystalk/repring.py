@@ -11,11 +11,15 @@ Tensor products, Tor_1 and localizations at the prime sites of R are
 table-driven.  The tables are read only from the checksummed JSON data
 file shipped in the package, and are regenerated only by the resolution
 verifier in :mod:`crystalk.oracle`.
+
+The checksum is SHA-256 from the interpreter's built-in module (``_sha2``,
+or ``_sha256`` before CPython 3.12), so no crystalk process loads OpenSSL;
+the standard library's OpenSSL-backed one is the fallback where neither is
+built.  ``cli`` and ``oracle`` import the same ``sha256`` from here.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 import os
@@ -24,6 +28,16 @@ from typing import Mapping, NamedTuple
 
 from ._frozen import Frozen
 from .errors import TableIntegrityError
+
+# not OpenSSL's: loading libcrypto costs about 3.5 MiB resident and 4 ms of a
+# cold start, for the few KB a process hashes; the digests are the same
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "CLASS_ORDER",
@@ -132,7 +146,7 @@ _verified: tuple[Mapping, str] | None = None
 def table_checksum(tables: Mapping) -> str:
     if _verified is not None and tables is _verified[0]:
         return _verified[1]
-    return hashlib.sha256(canonical_table_bytes(tables)).hexdigest()
+    return sha256(canonical_table_bytes(tables)).hexdigest()
 
 
 @lru_cache(maxsize=1)
