@@ -20,22 +20,14 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import __version__, oracle
-from .errors import (
-    CrystalkError,
-    GridTooLargeError,
-    InputError,
-    InternalInvariantError,
-    OutputError,
-)
+from .errors import CrystalkError, InputError, InternalInvariantError, OutputError
 from .intlin import IntMatrix
-from .lattice import ActionClass, validate_involution
+from .lattice import validate_involution
 from .repring import _load_table_bytes, load_tables, sha256, table_checksum
 from .toruskt import (
     SPEC_VERSION,
     _require_split,
     build_report,
-    cohomology_invariants,
-    hexagon_rank_sum,
     integral_k_theory,
     structure_report,
 )
@@ -60,8 +52,6 @@ VERIFY_MAX_N = 16
 # the sweep's time grows linearly in --count: --n 10 --skip-grid takes about
 # 1.5 s per count (2-core VM), so larger counts are refused before the corpus
 VERIFY_MAX_COUNT = 10
-VERIFY_GRID_MAX_N = 6
-VERIFY_GRID_DENOMINATOR = 4
 
 
 class CatalogEntry(NamedTuple):
@@ -378,83 +368,55 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(
             f"count = {args.count} exceeds the verify sweep maximum count <= {VERIFY_MAX_COUNT}"
         )
-    run_grid = not args.skip_grid
-    if n > VERIFY_GRID_MAX_N and run_grid:
-        raise GridTooLargeError(
-            f"grid verifier is bounded at n <= {VERIFY_GRID_MAX_N}; "
-            f"pass --skip-grid to sweep n = {n} without it"
-        )
-    run_exterior = n <= oracle.EXTERIOR_MAX_DIM
-    if not run_exterior:
-        print(
-            f"exterior verifier skipped cleanly (bounded at n <= {oracle.EXTERIOR_MAX_DIM})",
-            file=sys.stderr,
-        )
+    checks = oracle.verify_checks(n, args.skip_grid)
+    if n > oracle.EXTERIOR_MAX_DIM:
+        bound = oracle.EXTERIOR_MAX_DIM
+        print(f"exterior verifier skipped cleanly (bounded at n <= {bound})", file=sys.stderr)
 
     corpus = oracle.involution_corpus(n, args.seed, args.count)
     tables_ok = oracle.render_table_file_bytes() == _load_table_bytes()
 
     rows = []
-    failures = 0
-    canonical_ranks: dict[tuple[int, int, int], dict] = {}
-    by_class: dict[tuple[int, int, int], list[dict]] = {}  # rows, classes in first-seen order
+    by_class: dict[tuple, list[dict]] = {}  # rows, classes in first-seen order
     for member in corpus:
         lat = validate_involution(member.matrix)
-        analysis = lat.analysis
-        inv = analysis.invariants
-        checks: dict[str, bool] = {}
-        checks["invariants"] = inv == member.invariants
-        checks["tate"] = oracle.tate_invariants(member.matrix) == member.invariants
-        report = integral_k_theory(lat)
-        key = (inv.a, inv.b, inv.c)
-        expected = canonical_ranks.setdefault(key, report["ranks"])
-        checks["conjugation"] = report["ranks"] == expected
-        checks["hexagon"] = hexagon_rank_sum(lat) == 0
-        cls = analysis.action_class
-        if cls is ActionClass.MIXED_SPLIT:
-            # kunneth_assembly has compared the two routes and raised unless they agree
-            checks["routes"] = True
-        if run_exterior:
-            checks["exterior"] = oracle.exterior_action_invariants(
-                member.matrix
-            ) == cohomology_invariants(lat)
-        if run_grid:
-            grid = oracle.fixed_grid_components(member.matrix, VERIFY_GRID_DENOMINATOR)
-            checks["grid"] = (
-                grid.components == analysis.fixed_components
-                and grid.dim_estimate == analysis.fixed_dim
-            )
-        ok = all(checks.values())
-        if not ok:
-            failures += 1
-        rows.append(
-            {
-                "invariants": inv._asdict(),
-                "class": cls.value,
-                "scope_flag": report["scope_flag"],
-                "ranks": report["ranks"],
-                "checks": checks,
-                "ok": ok,
-            }
-        )
-        by_class.setdefault(key, []).append(rows[-1])
+        analysis, report = lat.analysis, integral_k_theory(lat)
+        members = by_class.setdefault(analysis.invariants, [])
+        first_ranks = members[0]["ranks"] if members else report["ranks"]
+        results = [(name, check(member, lat, report, first_ranks)) for name, check in checks]
+        passed = {name: ok for name, ok in results if ok is not None}
+        row = {
+            "invariants": analysis.invariants._asdict(),
+            "class": analysis.action_class.value,
+            "scope_flag": report["scope_flag"],
+            "ranks": report["ranks"],
+            "checks": passed,
+            "ok": all(passed.values()),
+        }
+        rows.append(row)
+        members.append(row)
 
+    failures = sum(not row["ok"] for row in rows) + (not tables_ok)
     payload = {
-        "spec_version": SPEC_VERSION,
-        "n": n,
-        "seed": args.seed,
-        "count": args.count,
-        "members": len(corpus),
-        "tables_regenerate_identically": tables_ok,
-        "results": rows,
-        "failures": failures + (0 if tables_ok else 1),
+        "spec_version": SPEC_VERSION, "n": n, "seed": args.seed, "count": args.count,
+        "members": len(corpus), "tables_regenerate_identically": tables_ok,
+        "results": rows, "failures": failures,
     }
+    _emit(args, payload, _verify_text(payload, by_class.values()))
+    if failures:
+        raise InternalInvariantError(f"{failures} verifier mismatches")
+    return EXIT_OK
+
+
+def _verify_text(payload: dict, classes) -> list[str]:
+    """The text summary of a sweep: one line per class, from its rows."""
     lines = [
-        f"verify sweep: n={n} seed={args.seed} count={args.count} "
-        f"members={len(corpus)}",
-        f"frozen tables regenerate identically: {'yes' if tables_ok else 'NO'}",
+        f"verify sweep: n={payload['n']} seed={payload['seed']} count={payload['count']} "
+        f"members={payload['members']}",
+        "frozen tables regenerate identically: "
+        + ("yes" if payload["tables_regenerate_identically"] else "NO"),
     ]
-    for members in by_class.values():
+    for members in classes:
         row, inv = members[0], members[0]["invariants"]
         status = "pass" if all(r["ok"] for r in members) else "FAIL"
         lines.append(
@@ -463,10 +425,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"k1={row['ranks']['k1']:>5}  {status}"
         )
     lines.append(f"failures: {payload['failures']}")
-    _emit(args, payload, lines)
-    if payload["failures"]:
-        raise InternalInvariantError(f"{payload['failures']} verifier mismatches")
-    return EXIT_OK
+    return lines
 
 
 class _Parser(argparse.ArgumentParser):

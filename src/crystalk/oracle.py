@@ -48,13 +48,14 @@ from .intlin import (
     smith_normal_form,
 )
 from .lattice import (
+    ActionClass,
     StructureInvariants,
     canonical_matrix,
     invariants,
     validate_involution,
 )
 from .repring import _SITE_KINDS, CLASS_ORDER, canonical_table_bytes, sha256, table_checksum
-from .toruskt import SPEC_VERSION, CohomologyAction
+from .toruskt import SPEC_VERSION, CohomologyAction, cohomology_invariants, hexagon_rank_sum
 
 __all__ = [
     "FixedGridResult",
@@ -71,6 +72,8 @@ __all__ = [
 ]
 
 EXTERIOR_MAX_DIM = 10
+VERIFY_GRID_MAX_N = 6
+VERIFY_GRID_DENOMINATOR = 4
 GRID_POINT_BOUND = 1_000_000
 GRID_SWEEP_BOUND = 16_777_216
 
@@ -712,3 +715,68 @@ def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]
                 CorpusMember(invariants=StructureInvariants(a=a, b=b, c=c), matrix=mat)
             )
     return tuple(members)
+
+
+# ---------------------------------------------------------------------------
+# verify's checks: each returns whether the member passes, or None where it
+# does not apply to the member's class, and calls the verifiers at call time
+
+
+def _check_invariants(member, lat, report, first_ranks):
+    """(a, b, c) from the F_2/F_3 analysis against the canonical form the corpus conjugated."""
+    return lat.analysis.invariants == member.invariants
+
+
+def _check_tate(member, lat, report, first_ranks):
+    """(a, b, c) from the mod-2 quotients ker(A -+ I)/(A +- I)Z^n (``tate_invariants``)."""
+    return tate_invariants(member.matrix) == member.invariants
+
+
+def _check_conjugation(member, lat, report, first_ranks):
+    """Ranks against those of the class's first member: conjugates share their K-theory."""
+    return report["ranks"] == first_ranks
+
+
+def _check_hexagon(member, lat, report, first_ranks):
+    """The alternating rank sum around the six-term exact sequence (``hexagon_rank_sum``)."""
+    return hexagon_rank_sum(lat) == 0
+
+
+def _check_routes(member, lat, report, first_ranks):
+    """The Kunneth assembly against the delocalized route, which it compares or raises."""
+    return True if lat.analysis.action_class is ActionClass.MIXED_SPLIT else None
+
+
+def _check_exterior(member, lat, report, first_ranks):
+    """The cohomology action from Λ(A mod 3) on the exterior algebra, over F_3."""
+    return exterior_action_invariants(member.matrix) == cohomology_invariants(lat)
+
+
+def _check_grid(member, lat, report, first_ranks):
+    """Fixed-set components and dimension from enumerated rational torus points."""
+    grid = fixed_grid_components(member.matrix, VERIFY_GRID_DENOMINATOR)
+    analysis = lat.analysis
+    return (grid.components, grid.dim_estimate) == (analysis.fixed_components, analysis.fixed_dim)
+
+
+# one (name, check) row per check, each called as check(member, lat, report, first_ranks)
+VERIFY_CHECKS = (
+    ("invariants", _check_invariants),
+    ("tate", _check_tate),
+    ("conjugation", _check_conjugation),
+    ("hexagon", _check_hexagon),
+    ("routes", _check_routes),
+    ("exterior", _check_exterior),
+    ("grid", _check_grid),
+)
+
+
+def verify_checks(n: int, skip_grid: bool) -> tuple:
+    """The rows a sweep at rank n runs: no ``exterior`` above its bound, no skipped ``grid``."""
+    if n > VERIFY_GRID_MAX_N and not skip_grid:
+        raise GridTooLargeError(
+            f"grid verifier is bounded at n <= {VERIFY_GRID_MAX_N}; "
+            f"pass --skip-grid to sweep n = {n} without it"
+        )
+    left_out = {"exterior": n > EXTERIOR_MAX_DIM, "grid": skip_grid}
+    return tuple(row for row in VERIFY_CHECKS if not left_out.get(row[0]))

@@ -91,10 +91,6 @@ class RModuleSum(Frozen):
     def from_dict(cls, d: Mapping[str, int]) -> "RModuleSum":
         return cls(*(d.get(name, 0) for name in CLASS_ORDER))
 
-    def __str__(self) -> str:
-        parts = [f"{name}^{m}" for name, m in self.as_dict().items() if m]
-        return " + ".join(parts) if parts else "0"
-
 
 _SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")
 

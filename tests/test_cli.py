@@ -545,6 +545,18 @@ class TestVerify:
         assert doc["failures"] == 0
         assert all("exterior" not in row["checks"] for row in doc["results"])
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exterior_skip_notice_is_one_stderr_line(self, capsys, fmt):
+        argv = ["verify", "--n", "11", "--skip-grid", "--seed", "7", "--count", "1"]
+        code = main(argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "exterior verifier skipped cleanly (bounded at n <= 10)\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["failures"] == 0  # the whole stdout is one document
+        else:
+            assert captured.out.endswith("failures: 0\n")
+
     def test_n_above_cap_exits_2_before_the_corpus(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "involution_corpus", lambda *args: pytest.fail("built"))
         n = VERIFY_MAX_N + 1

@@ -86,7 +86,7 @@ class TestValidate:
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
-            validate_involution(IntMatrix.zeros(2, 3))
+            validate_involution(IntMatrix(2, 3, (0,) * 6))
 
     def test_empty_is_rejected(self):
         with pytest.raises(NotSquareError):

@@ -40,10 +40,6 @@ class TestRModuleSum:
     def test_direct_sum(self):
         assert TRIV + SIGN + TRIV == RModuleSum(triv=2, sign=1)
 
-    def test_str(self):
-        assert str(RModuleSum(free=2, tor2=1)) == "FreeR^2 + TorF2^1"
-        assert str(ZERO) == "0"
-
 
 class TestPrimeSite:
     def test_labels(self):
