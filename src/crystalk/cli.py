@@ -46,11 +46,11 @@ MAX_N = 400
 # entries (2-core VM), so wider entries are refused before validation
 MAX_ENTRY_BITS = 64
 
-# verify --skip-grid --count 1 takes about 0.5 / 2.8 / 9.8 s at n = 16 / 24 / 32
-# (2-core VM), growing about as n^4.4, so larger n is refused before the corpus
+# verify --skip-grid --count 1 takes about 0.4 / 1.7 / 4.2 s cold at n = 16 / 24 / 32
+# (2-core VM), growing about as n^3.4, so larger n is refused before the corpus
 VERIFY_MAX_N = 16
-# the sweep's time grows linearly in --count: --n 10 --skip-grid takes about
-# 1.5 s per count (2-core VM), so larger counts are refused before the corpus
+# --n 10 --skip-grid takes about 0.7 / 1.5 / 4.7 s cold at --count 1 / 3 / 10 (2-core
+# VM), about linear in the count, so larger counts are refused before the corpus
 VERIFY_MAX_COUNT = 10
 
 
@@ -369,7 +369,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"count = {args.count} exceeds the verify sweep maximum count <= {VERIFY_MAX_COUNT}"
         )
     checks = oracle.verify_checks(n, args.skip_grid)
-    if n > oracle.EXTERIOR_MAX_DIM:
+    if "exterior" not in dict(checks):
         bound = oracle.EXTERIOR_MAX_DIM
         print(f"exterior verifier skipped cleanly (bounded at n <= {bound})", file=sys.stderr)
 

@@ -1,17 +1,17 @@
 """Exact integer linear algebra.
 
-Smith normal form with transformation matrices and the inverse of
-the right one, built alongside it: every exact inverse the package
-needs is read off the transform that built it, so no solve runs a
-second Smith form.  One fraction-free (Bareiss) elimination,
-``_bareiss``, gives both the determinant and the rank over Q.  Integer
-kernels and kernel coordinates, an exact check of M·M = I on the
-nonzeros of each row, ranks over F_2 and F_3 on bitmask rows (the
-F_3 one from an echelon table whose leading positions a caller can
-read), bitmask rows cut out of one int by bytes, exterior-power
-trace polynomials, and seeded unimodular matrices with their
-inverses.  Every operation works on arbitrary-precision Python
-integers; nothing in this module touches floating point.
+Smith normal form on the block rows [D | U], with V and its inverse
+built alongside: every exact inverse the package needs is read off
+the transform that built it, so no solve runs a second Smith form.
+One fraction-free (Bareiss) elimination, ``_bareiss``, gives both the
+determinant and the rank over Q.  Integer kernels and kernel
+coordinates, an exact check of M·M = I on the nonzeros of each row,
+ranks over F_2 and F_3 on bitmask rows (the F_3 one from an echelon
+table whose leading positions a caller can read), bitmask rows cut
+out of one int by bytes, exterior-power trace polynomials, and seeded
+unimodular matrices with their inverses.  Every operation works on
+arbitrary-precision Python integers; nothing in this module touches
+floating point.
 """
 
 from __future__ import annotations
@@ -182,121 +182,102 @@ class SmithDecomposition(NamedTuple):
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices.
 
-    Pivots are chosen by minimal absolute value (ties broken by scan
-    order), which keeps intermediate entries small and makes the output
-    deterministic for a fixed input.
+    The elimination runs on the block form [D | U]: row i of D and row i
+    of U are one list, so a row swap, addition or negation is one list
+    operation on both.  A column operation runs over the first ``nc``
+    entries of those rows and the rows of V together, and is mirrored as
+    the inverse row operation on V^-1.  Pivots are chosen by minimal
+    absolute value (ties broken by scan order), which keeps intermediate
+    entries small and makes the output deterministic for a fixed input.
 
     >>> smith_normal_form(IntMatrix.from_rows([[-1, 1], [1, -1]])).divisors
     (1, 0)
     """
     nr, nc = m.rows, m.cols
-    d = m.to_rows()
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    # each column operation on V is mirrored as the inverse row operation on V^-1
+    du = [row + [0] * nr for row in m.to_rows()]
+    v = [[0] * nc for _ in range(nc)]
+    # U and V start as identities: row i holds its 1 at nc + i in du, at i in v
+    for i, row in chain(enumerate(du, nc), enumerate(v)):
+        row[i] = 1
     v_inv = [row[:] for row in v]
 
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(nr):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(nc):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def addmul_row(dst: int, src: int, q: int) -> None:
-        drow, srow = d[dst], d[src]
-        for k in range(nc):
-            drow[k] += q * srow[k]
-        drow_u, srow_u = u[dst], u[src]
-        for k in range(nr):
-            drow_u[k] += q * srow_u[k]
-
     def addmul_col(dst: int, src: int, q: int) -> None:
-        for r in range(nr):
-            d[r][dst] += q * d[r][src]
-        for r in range(nc):
-            v[r][dst] += q * v[r][src]
+        for row in chain(du, v):
+            row[dst] += q * row[src]
         v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
 
     def pivot_to(t: int) -> bool:
         """Move the first minimal-absolute-value entry of the trailing
         block to (t, t), scanning row by row; False if the block is zero."""
         best = None
         for i in range(t, nr):
-            row = d[i]
+            row = du[i]
             for j in range(t, nc):
                 a = row[j]
                 if a and (best is None or abs(a) < best[0]):
                     best = (abs(a), i, j)
         if best is None:
             return False
-        if best[1] != t:
-            swap_rows(t, best[1])
-        if best[2] != t:
-            swap_cols(t, best[2])
+        _, i, j = best
+        du[t], du[i] = du[i], du[t]
+        if j != t:
+            for row in chain(du, v):
+                row[t], row[j] = row[j], row[t]
+            v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
         return True
 
     k = min(nr, nc)
-    t = 0
-    while t < k:
+    for t in range(k):
         if not pivot_to(t):
             break
         while True:
-            p = d[t][t]
+            pivot = du[t]
+            p = pivot[t]
             clear = True
             for i in range(t + 1, nr):
-                if d[i][t]:
-                    q = d[i][t] // p
+                row = du[i]
+                if row[t]:
+                    q = row[t] // p
                     if q:
-                        addmul_row(i, t, -q)
-                    if d[i][t]:
+                        du[i] = row = [x - q * y for x, y in zip(row, pivot)]
+                    if row[t]:
                         clear = False
             for j in range(t + 1, nc):
-                if d[t][j]:
-                    q = d[t][j] // p
+                if pivot[j]:
+                    q = pivot[j] // p
                     if q:
                         addmul_col(j, t, -q)
-                    if d[t][j]:
+                    if pivot[j]:
                         clear = False
             if not clear:
                 # a nonzero remainder strictly smaller than the pivot appeared
                 pivot_to(t)
                 continue
             offender = None
-            for i in range(t + 1, nr):
-                row = d[i]
+            for row in du[t + 1 :]:
                 for j in range(t + 1, nc):
                     if row[j] % p:
-                        offender = i
+                        offender = row
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            addmul_row(t, offender, 1)
-        t += 1
+            du[t] = [x + y for x, y in zip(pivot, offender)]
 
     for i in range(k):
-        if d[i][i] < 0:
-            negate_row(i)
+        if du[i][i] < 0:
+            du[i] = [-x for x in du[i]]
 
-    divisors = tuple(d[i][i] for i in range(k))
+    divisors = tuple(du[i][i] for i in range(k))
     for i in range(k - 1):
         a, b = divisors[i], divisors[i + 1]
         if (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise InternalInvariantError(f"divisor chain violated: {divisors}")
 
     return SmithDecomposition(
-        U=IntMatrix(nr, nr, tuple(chain.from_iterable(u))),
-        D=IntMatrix(nr, nc, tuple(chain.from_iterable(d))),
+        U=IntMatrix(nr, nr, tuple(chain.from_iterable(row[nc:] for row in du))),
+        D=IntMatrix(nr, nc, tuple(chain.from_iterable(row[:nc] for row in du))),
         V=IntMatrix(nc, nc, tuple(chain.from_iterable(v))),
         divisors=divisors,
         V_inv=IntMatrix(nc, nc, tuple(chain.from_iterable(v_inv))),

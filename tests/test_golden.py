@@ -1,11 +1,13 @@
 """Replay recorded CLI runs and compare stdout, stderr and exit code byte for byte.
 
-The recorded runs live in tests/data/golden_cli.json.  After a change that
-is meant to alter output, rewrite them with
+The recorded runs live in tests/data/golden_cli.json.  Without pytest,
+the same replay and pins run as a script that prints one line per
+mismatch and exits nonzero on any:
 
-    PYTHONPATH=src python3 tests/test_golden.py --write
+    PYTHONPATH=src python3 tests/test_golden.py
 
-and review the diff.
+After a change that is meant to alter output, rewrite the records with
+``--write`` and review the diff.
 """
 
 import contextlib
@@ -15,13 +17,22 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
-
-import pytest
 
 from crystalk.cli import CATALOG, main
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.toruskt import build_report
+
+try:
+    from pytest import mark
+
+    parametrize = mark.parametrize
+except ImportError:  # run as a script
+
+    def parametrize(names, values, ids=None):
+        return lambda test: test
+
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +73,7 @@ def test_golden_covers_every_case():
     assert sorted(load_golden()) == sorted(" ".join(argv) for argv in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_matches_golden(argv):
     assert run_case(argv) == load_golden()[" ".join(argv)]
 
@@ -99,7 +110,7 @@ VERIFY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(VERIFY_SHA256))
+@parametrize("n", sorted(VERIFY_SHA256))
 def test_verify_json_is_pinned(n):
     argv = ["verify", "--n", str(n), "--seed", "7", "--count", "1", "--format", "json"]
     run = run_case(argv + ["--skip-grid"] * (n > 6))
@@ -123,8 +134,29 @@ def test_rank_sweep_table_is_pinned():
     assert run.stderr == ""
 
 
+def replay() -> int:
+    """Run every test above once, print one line per mismatch, return 1 on any."""
+    checks = [("the records cover CASES", test_golden_covers_every_case)]
+    checks += [(" ".join(argv), partial(test_cli_output_matches_golden, argv)) for argv in CASES]
+    checks += [("canonical reports up to n = 8", test_every_canonical_report_up_to_n8_is_pinned)]
+    checks += [(f"verify --n {n} sha256", partial(test_verify_json_is_pinned, n)) for n in VERIFY_SHA256]
+    checks += [("rank sweep sha256", test_rank_sweep_table_is_pinned)]
+    failures = 0
+    for name, check in checks:
+        try:
+            check()
+        except Exception as exc:
+            failures += 1
+            print(f"MISMATCH {name}: {type(exc).__name__} {exc}".rstrip())
+    version = sys.version.split()[0]
+    print(f"{len(checks) - failures} of {len(checks)} golden checks match on Python {version}")
+    return int(failures > 0)
+
+
 if __name__ == "__main__":
+    if not sys.argv[1:]:
+        sys.exit(replay())
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py [--write]")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run_case(argv) for argv in CASES], indent=1) + "\n")
