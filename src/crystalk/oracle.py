@@ -9,8 +9,9 @@ different method at desk scale:
   the rank of each Λ^k(A mod 3) -+ I as its count of degree-k pivots,
   exact because A·A = I is checked over Z (no trace and no eigenvalue
   count);
-* fixed-set component counts, from enumeration of rational torus
-  points clustered by an exact same-component certificate; the points
+* fixed-set component counts, from enumeration of the rational torus
+  points of one grid clustered by an exact same-component certificate,
+  and the dimension from the count of points per component; the points
   are joined from two half-grids on a shared key, and the counts and
   labels stay exact because the fixed-point condition and the
   certificate bits both split as sums of the two halves' residues;
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -75,7 +76,6 @@ EXTERIOR_MAX_DIM = 10
 VERIFY_GRID_MAX_N = 6
 VERIFY_GRID_DENOMINATOR = 4
 GRID_POINT_BOUND = 1_000_000
-GRID_SWEEP_BOUND = 16_777_216
 
 
 # ---------------------------------------------------------------------------
@@ -263,51 +263,43 @@ class FixedGridResult(NamedTuple):
     components: int
     dim_estimate: int
     count: int
-    count_double: int
 
 
 def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
-    """Fixed-set component count from rational grid enumeration.
+    """Fixed-set component count and dimension from rational grid enumeration.
 
     Enumerates all x in (1/d)Z^n mod Z^n with A x = x on the torus and
     clusters them with an exact same-component certificate: two fixed
     points lie on the same affine subtorus exactly when the integer
     vector (A - I)(x - y) lies in (A - I)Z^n + 2Z^n, a mod-2 column
-    space membership.  The dimension is estimated from the growth of
-    the fixed-point count between grids d and 2d.
+    space membership.  Each component is a translate of one subtorus by
+    a half-integer vector, so for even d it meets the grid in exactly
+    d^dim points, and the count must be components·d^dim.
 
-    Both grids come from w in {0..2d-1}^n with residues r = (A - I)w
-    mod 4d: w is fixed on the 2d grid when r = 0 mod 2d, and at the
-    even points w = 2v (the d grid) the certificate bits
-    ((A - I)v / d) mod 2 are floor(r / 2d) mod 2.  Every coefficient is
-    reduced with Python's %, and all arithmetic is on Python integers,
-    so entries of any size are exact.
+    A point x = v/d has residues r = (A - I)v mod 2d: it is fixed when
+    r = 0 mod d, and its certificate bits ((A - I)v / d) mod 2 are then
+    floor(r / d); another representative v + d·e_j changes them by
+    column j of A - I, which the column-space reduction removes.  All
+    arithmetic is on Python integers reduced with %, so it is exact.
 
     The grid is joined from two half-grids (meet in the middle): every
-    w is u + v for one u on the first side, the first n // 2
-    coordinates, and one v on the second, the last n // 2; for odd n
-    the middle coordinate is written as lo + step·hi, with step an even
-    divisor of 2d near its square root, one digit to each side.  Since
-    step is even, w is even exactly when u and v are.  With N1 the
-    residue of -(A - I)u and N2 that of (A - I)v, both mod 4d,
-    r = N2 - N1 mod 4d.  Write N = 2d·b + s with 0 <= s < 2d.  Then w is
-    fixed exactly when s1 = s2 in every row, so s is the key on both
-    sides; the fixed counts are sums over shared keys of the two sides'
-    point counts (all points, and even points); and at a fixed point
-    r = 2d·(b2 - b1), so the certificate bits are b1 xor b2.  Reduction
-    modulo the mod-2 column space is linear, so it can follow the xor.
-    The first side is held as counts per key; the second, at least as
-    large, is looked up as it is generated.  Each side has about
-    (2d)^(n/2) points (more for odd n when 2d has no divisor near its
-    square root).
+    v is w - u for one u on the first side, the first n // 2
+    coordinates, and one w on the second, the last n // 2; for odd n
+    the middle coordinate is step·hi - lo, with lo < step on the first
+    side, hi < d / step on the second and step the largest divisor of d
+    up to its square root.  With N = d·b + s (0 <= s < d) the residues
+    of (A - I)u or (A - I)w, r = N2 - N1 mod 2d: v is fixed exactly
+    when s1 = s2 in every row, so s is the key on both sides, and then
+    r = d·(b2 - b1), so the certificate bits are b1 xor b2 (the
+    reduction is linear, so it can follow the xor).  The first side is
+    held per key; the second, at least as large, is looked up as it is
+    generated.  Each has about d^(n/2) points, more for odd n when d has
+    no divisor near its square root.
 
     A point's residues are packed into one integer, a slot of
-    bit_length(4d) + 2 bits per row, wide enough for the sum of two
+    bit_length(2d) + 2 bits per row, wide enough for the sum of two
     residues: the slot-wise test x >= c is (x + top - c·ones) & top,
     and reduction mod c subtracts c where that bit is set.
-
-    ``d`` must be even so that every component (an affine translate by
-    a half-integer vector) meets the grid.
     """
     if not a.is_square or a.rows == 0:
         raise ValueError(f"need a square matrix of positive size, got {a.rows}x{a.cols}")
@@ -316,91 +308,69 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
         raise ValueError("grid denominator must be an even integer >= 2")
     if d**n > GRID_POINT_BOUND:
         raise GridTooLargeError(f"d^n = {d**n} exceeds {GRID_POINT_BOUND}")
-    if (2 * d) ** n > GRID_SWEEP_BOUND:
-        raise GridTooLargeError("doubled grid for the dimension estimate is too large")
     m_int = a - IntMatrix.identity(n)
-    half, mod = 2 * d, 4 * d
+    mod = 2 * d
     width = mod.bit_length() + 2
     shift = width - 1
     ones = sum(1 << (i * width) for i in range(n))
     top = ones << shift
+    over = top - mod * ones
 
-    # each side's digits: (column of A - I, its scale, radix, whether parity counts)
+    # each side's digits: (column of A - I, its scale, radix)
     k = n // 2
-    first = [(m_int.column(j), -1, half, True) for j in range(k)]
-    second = [(m_int.column(j), 1, half, True) for j in range(n - k, n)]
+    first = [(m_int.column(j), 1, d) for j in range(k)]
+    second = [(m_int.column(j), 1, d) for j in range(n - k, n)]
     if n % 2:
-        # coordinate k is split as lo + step·hi with step even, so its parity
-        # is that of lo; step·(2d / step) = 2d factors as near its root as it
-        # can, and the larger factor goes to the second side, which is not held
-        low = max(x for x in range(1, isqrt(half) + 1) if half % x == 0)
-        step = low if low % 2 == 0 else half // low
-        parts = sorted([(step, half // step, False), (1, step, True)], key=lambda p: p[1])
-        first.append((m_int.column(k), -parts[0][0], *parts[0][1:]))
-        second.insert(0, (m_int.column(k), *parts[1]))
+        # the larger radix d / step >= step goes to the second side, which is not held
+        step = max(x for x in range(1, isqrt(d) + 1) if d % x == 0)
+        first.append((m_int.column(k), 1, step))
+        second.insert(0, (m_int.column(k), step, d // step))
 
-    def side(digits, even):
-        """Packed residues of one side's points: every point's mod 2d (its
-        key), or the even points' mod 4d.  The later digits' points are
-        held; the first digit's values are generated one at a time."""
-        c = mod if even else half
-        over = top - c * ones
+    def add(ms, xs):
+        return (s - ((s + over & top) >> shift) * mod for m in ms for x in xs for s in [m + x])
 
-        def add(ms, xs):
-            return (s - ((s + over & top) >> shift) * c for m in ms for x in xs for s in [m + x])
+    def multiples(column, scale, radix):
+        col = sum(scale * x % mod << (i * width) for i, x in enumerate(column))
+        x = 0
+        for _ in range(radix):
+            yield x
+            x += col
+            x -= ((x + over & top) >> shift) * mod
 
-        def multiples(column, scale, radix, parity):
-            twice = even and parity  # the even values of a digit are 0, 2, 4, ...
-            col = sum((scale << twice) * x % c << (i * width) for i, x in enumerate(column))
-            x = 0
-            for _ in range(radix >> twice):
-                yield x
-                x += col
-                x -= ((x + over & top) >> shift) * c
-
+    def side(digits):
+        """Key (residues mod d) and certificate bits (top bits of the slots
+        >= d) of each point; all but the first digit's points are held."""
         points = [0]
         for digit in digits[1:]:
             points = list(add(multiples(*digit), points))
-        return add(multiples(*digits[0]), points)
+        for x in add(multiples(*digits[0]), points):
+            high = x + top - d * ones & top
+            yield x - (high >> shift) * d, high
 
-    def halves(x):
-        """Key and certificate bits of a residue mod 4d: x mod 2d, and the
-        top bits of the slots where x >= 2d."""
-        high = x + top - half * ones & top
-        return x - (high >> shift) * half, high
-
-    all1 = Counter(side(first, False))
-    count_double = sum(map(all1.get, side(second, False), repeat(0)))
-    even1: Counter[int] = Counter()
+    counts1: Counter[int] = Counter()
     highs1: dict[int, set[int]] = {}
-    for key, high in map(halves, side(first, True)):
-        even1[key] += 1
+    for key, high in side(first):
+        counts1[key] += 1
         highs1.setdefault(key, set()).add(high)
     count = 0
     components: set[int] = set()
-    for key, high in map(halves, side(second, True)):
-        if key in even1:
-            count += even1[key]
+    for key, high in side(second):
+        if key in counts1:
+            count += counts1[key]
             components.update(high ^ h for h in highs1[key])
     # reduce modulo the mod-2 column space, its bit i spread to the top of slot i
     for b in _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose())):
         lead = (b.bit_length() - 1) * width + shift
         b = sum(1 << (i * width + shift) for i in range(n) if b >> i & 1)
         components = {x ^ b if x >> lead & 1 else x for x in components}
-    if count == 0:
-        raise InternalInvariantError("origin is always a fixed point")
-
-    ratio, rem = divmod(count_double, count)
-    if rem or ratio & (ratio - 1):
+    dim, size = 0, len(components)
+    while size < count:
+        dim, size = dim + 1, size * d
+    if count == 0 or size != count:  # the origin is always fixed
         raise InternalInvariantError(
-            f"fixed-point growth {count} -> {count_double} is not a power of 2"
+            f"{count} fixed points are not {len(components)} components of {d}^dim points"
         )
-    return FixedGridResult(
-        components=len(components),
-        dim_estimate=ratio.bit_length() - 1,
-        count=count,
-        count_double=count_double,
-    )
+    return FixedGridResult(components=len(components), dim_estimate=dim, count=count)
 
 
 # ---------------------------------------------------------------------------

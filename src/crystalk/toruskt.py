@@ -127,10 +127,8 @@ def _fixed_cohomology_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
     """(even, odd) cohomology ranks of the fixed set, a disjoint union of
     affine subtori."""
     desc = fixed_set(lat)
-    if desc.dim >= 1:
-        per = 2 ** (desc.dim - 1)
-        return desc.components * per, desc.components * per
-    return desc.components, 0
+    even, odd = _exterior_even_odd(desc.dim)
+    return desc.components * even, desc.components * odd
 
 
 def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:

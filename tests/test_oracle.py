@@ -39,7 +39,7 @@ def mat(rows):
 SWAP = mat([[0, 1], [1, 0]])
 
 # involutions of rank <= 3, with negative entries and entries beyond 64 bits,
-# which the grid verifier reduces mod 4d before it packs them
+# which the grid verifier reduces mod 2d before it packs them
 ENUMERATION_MATRICES = [
     [[-1]],
     [[1]],
@@ -93,7 +93,6 @@ def grid_by_enumeration(a, d):
         components=len(cosets),
         dim_estimate=ratio.bit_length() - 1,
         count=count,
-        count_double=count_double,
     )
 
 
@@ -335,11 +334,6 @@ class TestFixedGrid:
         with pytest.raises(GridTooLargeError):
             fixed_grid_components(IntMatrix.identity(21), 2)
 
-    def test_doubled_grid_bound(self):
-        # d^n = 14^5 = 537,824 is within the point bound, (2d)^n = 17,210,368 is not
-        with pytest.raises(GridTooLargeError, match="^doubled grid for the dimension estimate"):
-            fixed_grid_components(IntMatrix.identity(5), 14)
-
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="^need a square matrix of positive size, got 0x0$"):
             fixed_grid_components(IntMatrix(0, 0, ()), 4)
@@ -355,11 +349,13 @@ class TestFixedGrid:
     @pytest.mark.parametrize(
         "rows, d",
         [(rows, d) for rows in ENUMERATION_MATRICES for d in (2, 4, 6)]
-        # residues of two coordinates mod 4d = 200 sum past 255
-        + [([[0, 1], [1, 0]], 50), ([[1, 0], [-7, -1]], 50)]
-        # 2d = 20 = 4·5 and 2d = 44 = 4·11, the most unbalanced split: odd n
-        # must take the even factor 4 as its step, not the odd cofactor
-        + [(rows, d) for rows in ENUMERATION_MATRICES for d in (10, 22)],
+        # residues of two coordinates mod 2d = 200 sum past 255
+        + [([[0, 1], [1, 0]], 100), ([[1, 0], [-7, -1]], 100)]
+        # d = 10 = 2·5 and d = 22 = 2·11, the most unbalanced split: odd n
+        # takes step 2 on the first side and the cofactor on the second
+        + [(rows, d) for rows in ENUMERATION_MATRICES for d in (10, 22)]
+        # d = 18 = 3·6: odd n takes the odd step 3
+        + [(rows, 18) for rows in ENUMERATION_MATRICES if len(rows) % 2],
     )
     def test_grid_counts_match_pure_enumeration(self, rows, d):
         a = mat(rows)
@@ -400,19 +396,21 @@ class TestFixedGrid:
     @pytest.mark.parametrize(
         "a, d, expected",
         [
-            # 2d = 2·10^6 is split into digits of 1600 and 1250 values
-            (mat([[-1]]), 10**6, FixedGridResult(2, 0, 2, 2)),
-            (mat([[1]]), 10**6, FixedGridResult(1, 1, 10**6, 2 * 10**6)),
-            # every point of both grids is fixed, and every label is 0
-            (IntMatrix.identity(8), 4, FixedGridResult(1, 8, 4**8, 8**8)),
+            # d = 10^6 is split into two digits of 1000 values
+            (mat([[-1]]), 10**6, FixedGridResult(2, 0, 2)),
+            (mat([[1]]), 10**6, FixedGridResult(1, 1, 10**6)),
+            # every point of the grid is fixed, and every label is 0
+            (IntMatrix.identity(8), 4, FixedGridResult(1, 8, 4**8)),
+            # 4^9 points are within the point bound
+            (IntMatrix.identity(9), 4, FixedGridResult(1, 9, 4**9)),
         ],
-        ids=["reflection-n1", "identity-n1", "identity-n8"],
+        ids=["reflection-n1", "identity-n1", "identity-n8", "identity-n9"],
     )
     def test_extreme_grids(self, a, d, expected):
         assert fixed_grid_components(a, d) == expected
 
     def test_rank_seven_corpus_member(self):
-        # 8^7 doubled points, enumerated in several slices of the first coordinate
+        # 4^7 points, joined from two sides of 4^3·2 points
         corpus = involution_corpus(7, seed=7, count=1)
         member = next(m for m in corpus if m.invariants == StructureInvariants(1, 2, 2))
         analysis = validate_involution(member.matrix).analysis
@@ -421,7 +419,7 @@ class TestFixedGrid:
             analysis.fixed_components,
             analysis.fixed_dim,
         )
-        assert grid.count_double == grid.count * 2**analysis.fixed_dim
+        assert grid.count == analysis.fixed_components * 4**analysis.fixed_dim
 
 
 class TestResolutionTor:
