@@ -15,9 +15,11 @@ different method at desk scale:
   are joined from two half-grids on a shared key, and the counts and
   labels stay exact because the fixed-point condition and the
   certificate bits both split as sums of the two halves' residues;
-* the module-arithmetic tables, from explicit free resolutions over
-  Z[t]/(t^2 - 1) realized as integer matrices, homology via Smith
-  normal form;
+* the module-arithmetic tables, from one table of free resolutions
+  over Z[t]/(t^2 - 1), each class's differentials as group-ring
+  matrices realized as integer matrices, homology via Smith normal
+  form, labelled by the action of t on its free part and on its
+  2-torsion;
 * structure invariants, from the mod-2 quotients that define them, on
   integer kernel bases from one Smith normal form per quotient, whose
   V_inv gives the kernel coordinates;
@@ -55,7 +57,14 @@ from .lattice import (
     invariants,
     validate_involution,
 )
-from .repring import _SITE_KINDS, CLASS_ORDER, canonical_table_bytes, sha256, table_checksum
+from .repring import (
+    _SITE_KINDS,
+    CLASS_ORDER,
+    _pair_key,
+    canonical_table_bytes,
+    sha256,
+    table_checksum,
+)
 from .toruskt import SPEC_VERSION, CohomologyAction, cohomology_invariants, hexagon_rank_sum
 
 __all__ = [
@@ -376,8 +385,21 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
 # ---------------------------------------------------------------------------
 # resolutions over Z[t]/(t^2 - 1)
 
-_T_PLUS = (1, 1)  # t + 1
-_T_MINUS = (-1, 1)  # t - 1
+# group-ring entries as (constant, t-coefficient)
+_ZERO, _T_PLUS, _T_MINUS = (0, 0), (1, 1), (-1, 1)  # 0, t + 1, t - 1
+
+# each class's free resolution: d_1, then d_i for odd i >= 3 and for even i,
+# each as a matrix over the group ring; F_i has one R per row of d_(i+1)
+_RESOLUTIONS = {
+    "FreeR": ([[]], [], []),
+    "TrivZ": ([[_T_MINUS]], [[_T_MINUS]], [[_T_PLUS]]),
+    "SignZ": ([[_T_PLUS]], [[_T_PLUS]], [[_T_MINUS]]),
+    "TorF2": (
+        [[(2, 0), _T_PLUS]],
+        [[(1, -1), _ZERO], [(0, 2), _T_PLUS]],
+        [[_T_PLUS, _ZERO], [(0, -2), (1, -1)]],
+    ),
+}
 
 _REPS: dict[str, IntMatrix] = {
     "FreeR": IntMatrix.from_rows([[0, 1], [1, 0]]),
@@ -386,62 +408,16 @@ _REPS: dict[str, IntMatrix] = {
 }
 
 
-def _res_rank(name: str, i: int) -> int:
-    if name == "FreeR":
-        return 1 if i == 0 else 0
-    if name in ("TrivZ", "SignZ"):
-        return 1
-    # TorF2
-    return 1 if i == 0 else 2
-
-
-def _res_differential(name: str, i: int) -> list[list[tuple[int, int]]]:
-    """The i-th differential (i >= 1) of the standard free resolution,
-    entries recorded as (constant, t-coefficient)."""
-    if name == "FreeR":
-        return [[] for _ in range(_res_rank(name, i - 1))]
-    if name == "TrivZ":
-        entry = _T_MINUS if i % 2 else _T_PLUS
-        return [[entry]]
-    if name == "SignZ":
-        entry = _T_PLUS if i % 2 else _T_MINUS
-        return [[entry]]
-    # TorF2
-    if i == 1:
-        return [[(2, 0), (1, 1)]]
-    if i % 2 == 0:
-        return [[(1, 1), (0, 0)], [(0, -2), (1, -1)]]
-    return [[(1, -1), (0, 0)], [(0, 2), (1, 1)]]
-
-
 def _tensor_int(rmat: list[list[tuple[int, int]]], rep: IntMatrix) -> IntMatrix:
     """Apply a matrix over the group ring to copies of an integer module."""
-    dim = rep.rows
-    nr = len(rmat)
-    nc = len(rmat[0]) if nr else 0
-    rows = [[0] * (nc * dim) for _ in range(nr * dim)]
-    for bi in range(nr):
-        for bj in range(nc):
-            a0, a1 = rmat[bi][bj]
-            if a0 == 0 and a1 == 0:
-                continue
-            for x in range(dim):
-                for y in range(dim):
-                    val = a1 * rep.entry(x, y) + (a0 if x == y else 0)
-                    rows[bi * dim + x][bj * dim + y] = val
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, nc * dim, ())
-
-
-def _label_free_lattice(t_action: IntMatrix) -> dict[str, int]:
-    inv = invariants(validate_involution(t_action))
-    out: dict[str, int] = {}
-    if inv.a:
-        out["TrivZ"] = inv.a
-    if inv.b:
-        out["SignZ"] = inv.b
-    if inv.c:
-        out["FreeR"] = inv.c
-    return out
+    dim = range(rep.rows)
+    return IntMatrix.from_rows(
+        [
+            [a1 * rep.entry(x, y) + a0 * (x == y) for a0, a1 in row for y in dim]
+            for row in rmat
+            for x in dim
+        ]
+    )
 
 
 def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict[str, int]:
@@ -451,7 +427,8 @@ def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict
     V_inv, the coordinates of im(d_in) and of t on that kernel.  A
     second, of the transposed image coordinates, splits the kernel into
     torsion and free parts, and its V'^T and V'_inv^T are that change of
-    basis and its inverse.
+    basis and its inverse.  The 2-torsion is TorF2 only where t acts on
+    it as 1; the free part's (a, b, c) counts its TrivZ, SignZ and FreeR.
     """
     snf_out = smith_normal_form(d_out)
     kern = kernel_columns(snf_out)
@@ -461,22 +438,23 @@ def _homology_label(d_out: IntMatrix, d_in: IntMatrix, t_big: IntMatrix) -> dict
     x = kernel_coordinates(snf_out, d_in)
     # from U' x^T V' = D' the left transform of x is L = V'^T, with L^-1 = V'_inv^T
     snf = smith_normal_form(x.transpose())
-    torsion = [d for d in snf.divisors if d >= 2]
-    for d in torsion:
-        if d != 2:
-            raise InternalInvariantError(f"unexpected torsion {d} in module homology")
-    free_idx = [
-        i for i in range(r) if i >= len(snf.divisors) or snf.divisors[i] == 0
-    ]
-    out: dict[str, int] = {}
-    if torsion:
-        out["TorF2"] = len(torsion)
-    if free_idx:
-        t_k = kernel_coordinates(snf_out, t_big @ kern)
-        t_y = snf.V.transpose() @ t_k @ snf.V_inv.transpose()
-        t_h = IntMatrix.from_rows([[t_y.entry(i, j) for j in free_idx] for i in free_idx])
-        for name, mult in _label_free_lattice(t_h).items():
-            out[name] = out.get(name, 0) + mult
+    divisors = snf.divisors + (0,) * (r - len(snf.divisors))
+    if max(divisors) > 2:
+        raise InternalInvariantError(f"unexpected torsion {max(divisors)} in module homology")
+    # coordinate i of y = L k is Z/2 where divisors[i] is 2 and Z where it is 0
+    torsion = [i for i, d in enumerate(divisors) if d == 2]
+    free = [i for i, d in enumerate(divisors) if d == 0]
+    if not torsion and not free:
+        return {}
+    t_k = kernel_coordinates(snf_out, t_big @ kern)
+    t_y = snf.V.transpose() @ t_k @ snf.V_inv.transpose()
+    if any((t_y.entry(i, j) - (i == j)) % 2 for i in torsion for j in torsion):
+        raise InternalInvariantError("t does not act as 1 on the 2-torsion of module homology")
+    out = {"TorF2": len(torsion)} if torsion else {}
+    if free:
+        t_h = IntMatrix.from_rows([[t_y.entry(i, j) for j in free] for i in free])
+        abc = invariants(validate_involution(t_h))
+        out.update((name, m) for name, m in zip(("TrivZ", "SignZ", "FreeR"), abc) if m)
     return out
 
 
@@ -493,33 +471,30 @@ def resolution_module_class(m_class: str, n_class: str, degree: int) -> dict[str
     if not 0 <= degree <= 2:
         raise ValueError("degrees 0, 1, 2 only")
 
+    first, odd, even = _RESOLUTIONS[m_class]
+    # d_0 maps F_0 to nothing, written as one zero row
+    d_out, d_in = ([[_ZERO] * len(first)], first, even, odd)[degree : degree + 2]
+    rank = len(d_in)
     if n_class == "TorF2":
         # complexes of F_2 vector spaces: t acts as 1, so each differential is
-        # its integer matrix on TrivZ, of entries a0 + a1, read mod 2; degree 0
-        # maps to nothing
-        h = _res_rank(m_class, degree) - sum(
-            _gf2_rank_rows(_tensor_int(_res_differential(m_class, i), _REPS["TrivZ"]))
-            for i in (degree, degree + 1)
-            if i
-        )
+        # its integer matrix on TrivZ, of entries a0 + a1, read mod 2
+        h = rank - sum(_gf2_rank_rows(_tensor_int(d, _REPS["TrivZ"])) for d in (d_out, d_in))
         if h < 0:
             raise InternalInvariantError("negative homology dimension")
         return {"TorF2": h} if h else {}
 
     rep = _REPS[n_class]
-    rank = _res_rank(m_class, degree)
-    # degree 0 maps to nothing, so every chain is a cycle
-    d_out = IntMatrix(0, rank * rep.rows, ())
-    if degree > 0:
-        d_out = _tensor_int(_res_differential(m_class, degree), rep)
-    d_in = _tensor_int(_res_differential(m_class, degree + 1), rep)
     # t acting on each copy: the diagonal group-ring matrix t·I
     t_big = _tensor_int([[(0, int(i == j)) for j in range(rank)] for i in range(rank)], rep)
-    return _homology_label(d_out, d_in, t_big)
+    return _homology_label(_tensor_int(d_out, rep), _tensor_int(d_in, rep), t_big)
 
 
 # ---------------------------------------------------------------------------
 # regenerated tables
+
+# the sign s by which t acts at each minimal and odd site: a cell's free rank
+# is that of the coinvariants, the cokernel of t - s
+_SITE_SIGNS = {"MinPlus": 1, "MinMinus": -1, "OddPlus": 1, "OddMinus": -1}
 
 
 def _localize_cell(name: str, kind: str) -> dict:
@@ -532,14 +507,8 @@ def _localize_cell(name: str, kind: str) -> dict:
             }
         return {"free_rank": 0, "torsion_flag": False}
     rep = _REPS[name]
-    dim = rep.rows
-    ident = IntMatrix.identity(dim)
-    if kind in ("MinPlus", "OddPlus"):
-        coinv = smith_normal_form(rep - ident)
-    elif kind in ("MinMinus", "OddMinus"):
-        coinv = smith_normal_form(rep + ident)
-    else:  # Dyadic: minimal generator count over the local ring
-        gens = dim - _gf2_rank_rows((rep - ident).transpose())
+    if kind == "Dyadic":  # minimal generator count over the local ring
+        gens = rep.rows - _gf2_rank_rows(_tensor_int([[_T_MINUS]], rep).transpose())
         cell = {"free_rank": gens, "torsion_flag": False}
         if name == "FreeR":
             cell["note"] = "free of rank 1 over the dyadic local ring (Z-rank 2)"
@@ -548,6 +517,7 @@ def _localize_cell(name: str, kind: str) -> dict:
                 "cyclic over the dyadic local ring; Z-torsion-free but not free over it"
             )
         return cell
+    coinv = smith_normal_form(_tensor_int([[(-_SITE_SIGNS[kind], 1)]], rep))
     for d in coinv.divisors:
         if d not in (0, 1, 2):
             raise InternalInvariantError("unexpected coinvariant torsion")
@@ -573,7 +543,7 @@ def regenerate_tables() -> dict:
                     raise InternalInvariantError(
                         f"asymmetric degree-{degree} answer for {x}, {y}: {fwd} vs {bwd}"
                     )
-                table[f"{x}*{y}"] = fwd
+                table[_pair_key(x, y)] = fwd
     localize_table = {
         name: {kind: _localize_cell(name, kind) for kind in _SITE_KINDS}
         for name in CLASS_ORDER

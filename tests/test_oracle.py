@@ -434,13 +434,25 @@ class TestResolutionTor:
 
     def test_ring_is_flat(self):
         for name in ("FreeR", "TrivZ", "SignZ", "TorF2"):
-            assert resolution_module_class("FreeR", name, 1) == {}
-            assert resolution_module_class(name, "FreeR", 1) == {}
+            for degree in (1, 2):
+                assert resolution_module_class("FreeR", name, degree) == {}
+                assert resolution_module_class(name, "FreeR", degree) == {}
 
     def test_tensor_keeps_module_labels(self):
-        assert resolution_module_class("FreeR", "FreeR", 0) == {"FreeR": 1}
+        # M ⊗ R = M, read off each class's own resolution
+        for name in ("FreeR", "TrivZ", "SignZ", "TorF2"):
+            assert resolution_module_class(name, "FreeR", 0) == {name: 1}
         assert resolution_module_class("SignZ", "SignZ", 0) == {"SignZ": 1}
         assert resolution_module_class("TorF2", "TorF2", 0) == {"TorF2": 1}
+
+    def test_two_torsion_is_labelled_only_where_t_acts_as_one(self):
+        # R/2 = Z/2 ⊕ Z/2 with t swapping the summands is not a sum of TorF2
+        cycles = IntMatrix(0, 2, ())
+        twice = IntMatrix.from_rows([[2, 0], [0, 2]])
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        with pytest.raises(InternalInvariantError):
+            oracle._homology_label(cycles, twice, swap)
+        assert oracle._homology_label(cycles, twice, IntMatrix.identity(2)) == {"TorF2": 2}
 
     def test_degree_two_periodicity(self):
         assert resolution_module_class("TrivZ", "SignZ", 2) == {"TorF2": 1}
