@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -227,10 +228,42 @@ def _cache_append(path: str, key: str, meta: dict, report: dict) -> None:
         raise OSError(f"short write to cache {path}: {written} of {len(line)} bytes")
 
 
+# json.dumps runs CPython's C encoder only when indent is None
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps`` at ``indent=2`` with sorted keys, leaves C-encoded.
+
+    Every dict key must be a ``str``, as in every payload ``cli`` emits:
+    ``json.dumps`` would turn an int, float, bool or None key into a
+    string and refuse to sort keys of mixed types.  Containers are laid
+    out here and each key and leaf goes through the C encoder; a list of
+    ints, such as a matrix row, goes through it whole.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _ENCODE(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join([f"{_ENCODE(key)}: {_indented_json(value[key], inner)}"
+                         for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if type(value[0]) is int:
+        body = _ENCODE(value)[1:-1]
+        # no string and no list: only numbers, bools, nulls and empty dicts
+        # (a key is a string), none of whose texts holds ", ", so each ", "
+        # separates two items
+        if '"' not in body and "[" not in body:
+            return f"[\n{inner}{body.replace(', ', sep)}\n{indent}]"
+    body = sep.join([_indented_json(item, inner) for item in value])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     try:
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_indented_json(payload))
         else:
             for line in text_lines:
                 print(line)
@@ -439,7 +472,14 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs more than a small ``cstar`` does, and reusing it
+    keeps no state between calls: ``parse_args`` returns a new namespace
+    each time.  ``main`` runs the subcommand's ``cmd_*`` function by name.
+    """
     parser = _Parser(
         prog="crystalk",
         description=(
@@ -460,19 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="invariants, class, and fixed-set data")
     add_io(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
 
     p_ranks = sub.add_parser("ranks", help="equivariant K-theory ranks of the torus")
     add_io(p_ranks)
     p_ranks.add_argument(
         "--route", choices=("delocalized", "kunneth", "both"), default="delocalized"
     )
-    p_ranks.set_defaults(func=cmd_ranks)
 
     p_cstar = sub.add_parser("cstar", help="K-theory of the reduced group C*-algebra")
     add_io(p_cstar)
     p_cstar.add_argument("--cache", help="append-only JSON-lines results cache")
-    p_cstar.set_defaults(func=cmd_cstar)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite on a seeded corpus")
     p_verify.add_argument("--n", type=int, required=True)
@@ -480,21 +517,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, default=3)
     p_verify.add_argument("--skip-grid", action="store_true")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list (and optionally recheck) the catalog")
     p_catalog.add_argument("--check", action="store_true")
     p_catalog.add_argument("--format", choices=("text", "json"), default="text")
-    p_catalog.set_defaults(func=cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so a cmd_* wrapped or patched since the
+        # parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     # standard output failed: entrypoint reports it and ends the process
     except (BrokenPipeError, OutputError):
         raise

@@ -17,7 +17,6 @@ floating point.
 from __future__ import annotations
 
 import operator
-import random
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -472,6 +471,9 @@ def random_unimodular(n: int, seed: int, steps: int, cap: int = 32) -> tuple[Int
     >>> random_unimodular(2, seed=5, steps=0)[0] == IntMatrix.identity(2)
     True
     """
+    # only verify corpora and tests draw matrices, so a cold report does not import random
+    import random
+
     if n < 1:
         raise ValueError("dimension must be at least 1")
     rng = random.Random(seed)

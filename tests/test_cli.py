@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import runpy
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import crystalk
 from crystalk import cli, oracle, toruskt
 from crystalk.cli import CATALOG, MAX_ENTRY_BITS, MAX_N, VERIFY_MAX_COUNT, VERIFY_MAX_N, main
+from crystalk.intlin import IntMatrix
 from crystalk.lattice import canonical_matrix, validate_involution
 from crystalk.repring import _load_table_bytes, canonical_table_bytes, load_tables, table_checksum
 from crystalk.toruskt import build_report
@@ -509,6 +511,92 @@ class TestFormats:
         )
         assert code == 0
         assert json.loads(json.dumps(doc)) == doc
+
+
+# report-shaped payloads for cli._indented_json: every dict key is a str, as
+# in every payload cli emits (json.dumps would turn other keys into strings);
+# the strings hold quotes, backslashes, ", " and text outside ASCII
+EMIT_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", 'a", "b', "1, 2", "[3]", "{}", "\u00e9t\u00e9", "\u2028", "\U0001f600", "\x00\n"]
+)
+EMIT_INT = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, -(2**64) - 1, 10**40])
+EMIT_LEAF = st.none() | st.booleans() | EMIT_INT | st.floats() | EMIT_TEXT
+EMIT_PAYLOAD = st.recursive(
+    EMIT_LEAF,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(EMIT_INT, max_size=6),
+        st.dictionaries(EMIT_TEXT, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def bench_gen():
+    """The globals of ``bench/gen.py``, the benchmark's input generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    if not path.exists():
+        pytest.skip("bench/ is absent")
+    return runpy.run_path(str(path))
+
+
+class TestIndentedJson:
+    """cli._indented_json writes json.dumps(x, indent=2, sort_keys=True) text."""
+
+    @settings(max_examples=500)
+    @given(payload=EMIT_PAYLOAD)
+    def test_equals_json_dumps(self, payload):
+        assert cli._indented_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, [], (), [[]], {"a": {}}, [1, [], {}], [1, {}, 2], [0], [-1, True, None, 2.5],
+         [1, "a, b", 2], [2**64, -(2**64)], CATALOG[3],
+         {"z": 1, "a": [3, -4], "m": {"k": (1, (2,))}}],
+    )
+    def test_equals_json_dumps_on_edge_payloads(self, payload):
+        assert cli._indented_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_equals_json_dumps_on_an_n400_report(self):
+        case = bench_gen()["make_case"](140, 120, 70, random.Random(1))
+        lat = validate_involution(IntMatrix.from_rows([list(row) for row in case.rows]))
+        report = build_report(lat, kind="cstar")
+        assert report["input"]["n"] == 400
+        assert cli._indented_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_command_patched_after_a_call_is_the_one_that_runs(self, capsys, monkeypatch):
+        assert main(["cstar", "--catalog", "pm-type"]) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_cstar", lambda args: seen.append(args.catalog) or 7)
+        assert main(["cstar", "--catalog", "pm-type"]) == 7
+        assert seen == ["pm-type"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["cstar", "--help"], 0), (["cstar", "--no-such-flag"], 2)],
+        ids=["help", "subcommand-help", "unknown-argument"],
+    )
+    def test_a_rebuilt_and_a_reused_parser_print_the_same(self, capsys, argv, code):
+        cli.build_parser.cache_clear()
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        out, err = printed[0]
+        if code == 0:
+            assert out.startswith("usage: crystalk") and err == ""
+        else:
+            assert out == "" and err.endswith("error: unrecognized arguments: --no-such-flag\n")
 
 
 class TestVerify:
