@@ -462,6 +462,11 @@ def _verify_text(payload: dict, classes) -> list[str]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        # argparse's width at COLUMNS=80, whatever the terminal: help and
+        # usage bytes do not follow the environment
+        return self.formatter_class(prog=self.prog, width=78)
+
     def _print_message(self, message: str, file=None) -> None:
         # argparse ignores a failed write, then exits inside parse_args: help
         # on stdout is flushed here, so a failure reaches entrypoint's handler

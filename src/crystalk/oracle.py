@@ -509,14 +509,12 @@ def _localize_cell(name: str, kind: str) -> dict:
     rep = _REPS[name]
     if kind == "Dyadic":  # minimal generator count over the local ring
         gens = rep.rows - _gf2_rank_rows(_tensor_int([[_T_MINUS]], rep).transpose())
-        cell = {"free_rank": gens, "torsion_flag": False}
-        if name == "FreeR":
-            cell["note"] = "free of rank 1 over the dyadic local ring (Z-rank 2)"
+        # Z-torsion-free on `gens` generators: free exactly when its Z-rank is 2·gens
+        if rep.rows == 2 * gens:
+            note = f"free of rank {gens} over the dyadic local ring (Z-rank {rep.rows})"
         else:
-            cell["note"] = (
-                "cyclic over the dyadic local ring; Z-torsion-free but not free over it"
-            )
-        return cell
+            note = "cyclic over the dyadic local ring; Z-torsion-free but not free over it"
+        return {"free_rank": gens, "torsion_flag": False, "note": note}
     coinv = smith_normal_form(_tensor_int([[(-_SITE_SIGNS[kind], 1)]], rep))
     for d in coinv.divisors:
         if d not in (0, 1, 2):

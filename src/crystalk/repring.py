@@ -7,6 +7,10 @@ The module class has four generators, recorded by multiplicity:
     SignZ   Z with t = -1, isomorphic to the ideal (t-1) and to R/(t+1)
     TorF2   R/((t-1), 2), the one-dimensional F_2 module
 
+A module is the dict the certificate prints, each generator's name mapped
+to its multiplicity, as :func:`module` builds it.  A prime site is its key
+in the tables, and ``SITE_LABELS`` gives the label the certificate prints.
+
 Tensor products, Tor_1 and localizations at the prime sites of R are
 table-driven.  The tables are read only from the checksummed JSON data
 file shipped in the package, and are regenerated only by the resolution
@@ -21,12 +25,10 @@ built.  ``cli`` and ``oracle`` import the same ``sha256`` from here.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from ._frozen import Frozen
 from .errors import TableIntegrityError
 
 # not OpenSSL's: loading libcrypto costs about 3.5 MiB resident and 4 ms of a
@@ -41,13 +43,13 @@ except ImportError:
 
 __all__ = [
     "CLASS_ORDER",
-    "RModuleSum",
-    "PrimeSite",
+    "module",
     "MIN_PLUS",
     "MIN_MINUS",
     "DYADIC",
     "ODD_PLUS",
     "ODD_MINUS",
+    "SITE_LABELS",
     "rank",
     "tensor",
     "tor1",
@@ -61,59 +63,23 @@ CLASS_ORDER = ("FreeR", "TrivZ", "SignZ", "TorF2")
 _TABLE_FILE = os.path.join(os.path.dirname(__file__), "data", "repring_tables.json")
 
 
-class RModuleSum(Frozen):
-    """Formal direct sum over the basis class, by multiplicity."""
-
-    __slots__ = _fields = ("free", "triv", "sign", "tor2")  # in CLASS_ORDER
-
-    def __init__(self, free: int = 0, triv: int = 0, sign: int = 0, tor2: int = 0) -> None:
-        if min(free, triv, sign, tor2) < 0:
+def module(**mults: int) -> dict[str, int]:
+    """The module ``module(TrivZ=2, SignZ=4)``, every class of ``CLASS_ORDER`` present."""
+    for name, mult in mults.items():
+        if name not in CLASS_ORDER:
+            raise ValueError(f"unknown class {name!r}")
+        if mult < 0:
             raise ValueError("multiplicities must be nonnegative")
-        self._set(free, triv, sign, tor2)
-
-    def __add__(self, other: "RModuleSum") -> "RModuleSum":
-        return RModuleSum(*map(operator.add, self._values, other._values))
-
-    def scale(self, k: int) -> "RModuleSum":
-        return RModuleSum(*map(k.__mul__, self._values))
-
-    @property
-    def is_zero(self) -> bool:
-        return self == RModuleSum()
-
-    def multiplicity(self, name: str) -> int:
-        return self._values[CLASS_ORDER.index(name)]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(CLASS_ORDER, self._values))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, int]) -> "RModuleSum":
-        return cls(*(d.get(name, 0) for name in CLASS_ORDER))
+    return {name: mults.get(name, 0) for name in CLASS_ORDER}
 
 
+# the prime sites of R: the two minimal primes, the dyadic point, and an odd
+# maximal point on each of the two branches
 _SITE_KINDS = ("MinPlus", "MinMinus", "Dyadic", "OddPlus", "OddMinus")
-
-
-class PrimeSite(NamedTuple):
-    """A prime of R: one of the two minimal primes, the dyadic point,
-    or an odd maximal point on one of the two branches."""
-
-    kind: str
-    p: int | None = None
-
-    def label(self) -> str:
-        if self.p is not None:
-            return f"{self.kind}({self.p})"
-        return self.kind
-
-
-MIN_PLUS = PrimeSite("MinPlus")
-MIN_MINUS = PrimeSite("MinMinus")
-DYADIC = PrimeSite("Dyadic")
+MIN_PLUS, MIN_MINUS, DYADIC, ODD_PLUS, ODD_MINUS = _SITE_KINDS
 # the tables are keyed on the kind alone, so one witness odd prime per branch
-ODD_PLUS = PrimeSite("OddPlus", 3)
-ODD_MINUS = PrimeSite("OddMinus", 3)
+SITE_LABELS = {kind: kind for kind in _SITE_KINDS}
+SITE_LABELS.update({ODD_PLUS: "OddPlus(3)", ODD_MINUS: "OddMinus(3)"})
 
 
 def _load_table_bytes() -> bytes:
@@ -173,37 +139,32 @@ def _pair_key(x: str, y: str) -> str:
     return f"{x}*{y}"
 
 
-def rank(m: RModuleSum) -> int:
+def rank(m: dict) -> int:
     """Rank of the underlying abelian group."""
-    return 2 * m.free + m.triv + m.sign
+    return 2 * m["FreeR"] + m["TrivZ"] + m["SignZ"]
 
 
-def _bilinear(table: Mapping[str, Mapping[str, int]], m: RModuleSum, n: RModuleSum) -> RModuleSum:
-    out = RModuleSum()
-    for x in CLASS_ORDER:
-        mx = m.multiplicity(x)
-        if not mx:
-            continue
-        for y in CLASS_ORDER:
-            ny = n.multiplicity(y)
-            if not ny:
-                continue
-            cell = RModuleSum.from_dict(table[_pair_key(x, y)])
-            out = out + cell.scale(mx * ny)
+def _bilinear(table: Mapping[str, Mapping[str, int]], m: dict, n: dict) -> dict[str, int]:
+    out = module()
+    for x, mx in m.items():
+        for y, ny in n.items():
+            if mx and ny:
+                for name, mult in table[_pair_key(x, y)].items():
+                    out[name] += mx * ny * mult
     return out
 
 
-def tensor(m: RModuleSum, n: RModuleSum) -> RModuleSum:
+def tensor(m: dict, n: dict) -> dict[str, int]:
     """Tensor product over R, extended bilinearly from the frozen table."""
     return _bilinear(load_tables()["tensor"], m, n)
 
 
-def tor1(m: RModuleSum, n: RModuleSum) -> RModuleSum:
+def tor1(m: dict, n: dict) -> dict[str, int]:
     """Tor_1 over R, extended bilinearly from the frozen table."""
     return _bilinear(load_tables()["tor1"], m, n)
 
 
-def localize(m: RModuleSum, site: PrimeSite) -> dict:
+def localize(m: dict, site: str) -> dict:
     """The certificate record of ``m`` localized at a prime site.
 
     ``{"site", "free_rank", "torsion_flag"}``, plus ``"note"`` when a
@@ -215,17 +176,16 @@ def localize(m: RModuleSum, site: PrimeSite) -> dict:
     torsion = False
     notes: list[str] = []
     for name in CLASS_ORDER:
-        mult = m.multiplicity(name)
-        if not mult:
+        if not m[name]:
             continue
-        cell = table[name][site.kind]
-        free_rank += mult * cell["free_rank"]
+        cell = table[name][site]
+        free_rank += m[name] * cell["free_rank"]
         if cell["torsion_flag"]:
             torsion = True
         note = cell.get("note", "")
         if note and note not in notes:
             notes.append(note)
-    out: dict = {"site": site.label(), "free_rank": free_rank, "torsion_flag": torsion}
+    out: dict = {"site": SITE_LABELS[site], "free_rank": free_rank, "torsion_flag": torsion}
     if notes:
         out["note"] = "; ".join(notes)
     return out

@@ -25,8 +25,9 @@ from .repring import (
     MIN_PLUS,
     ODD_MINUS,
     ODD_PLUS,
-    RModuleSum,
+    SITE_LABELS,
     localize,
+    module,
     rank as module_rank,
     tensor,
     tor1,
@@ -223,34 +224,34 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
     r = inv.a
     m = n - r
 
-    kx = RModuleSum(free=2 ** (r - 1))  # per degree
-    ky0 = RModuleSum(triv=2 ** (m - 1), sign=2**m)
-    ky1 = RModuleSum()
+    kx = module(FreeR=2 ** (r - 1))  # per degree
+    ky0 = module(TrivZ=2 ** (m - 1), SignZ=2**m)
+    ky1 = module()
     step1 = _step(
         "decomposition",
         {"n": n, "a": inv.a, "b": inv.b, "c": inv.c},
         {
             "trivial_factor_dim": r,
             "free_factor_dim": m,
-            "kx_degree0": kx.as_dict(),
-            "kx_degree1": kx.as_dict(),
-            "ky_degree0": ky0.as_dict(),
-            "ky_degree1": ky1.as_dict(),
+            "kx_degree0": kx,
+            "kx_degree1": kx,
+            "ky_degree0": ky0,
+            "ky_degree1": ky1,
         },
         "R^n models the proper classifying space; the torus splits as a "
         "trivially-acted factor times a factor acted on freely away from the origin",
     )
 
-    # graded tensor product, identical in both degrees because ky1 = 0
-    t_deg0 = tensor(kx, ky0) + tensor(kx, ky1)
-    t_deg1 = tensor(kx, ky1) + tensor(kx, ky0)
+    # the graded tensor product: kx is the same in both degrees, so each
+    # degree is kx (x) (ky0 + ky1)
+    product = tensor(kx, {name: mult + ky1[name] for name, mult in ky0.items()})
     j_locs = [
-        {"site": s.label(), "degree0": localize(t_deg0, s), "degree1": localize(t_deg1, s)}
+        {"site": SITE_LABELS[s], "degree0": localize(product, s), "degree1": localize(product, s)}
         for s in _J_BRANCH_SITES
     ]
     step2 = _step(
         "localized_kunneth",
-        {"degree0": t_deg0.as_dict(), "degree1": t_deg1.as_dict()},
+        {"degree0": product, "degree1": product},
         {"sites": j_locs},
         "Kunneth short exact sequence for the product at primes containing "
         "(1 + t), dyadic point excluded",
@@ -258,23 +259,23 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
 
     tor_deg0 = tor1(kx, ky1)
     tor_deg1 = tor1(kx, ky0)
-    if not (tor_deg0.is_zero and tor_deg1.is_zero):
+    if any(tor_deg0.values()) or any(tor_deg1.values()):
         raise InternalInvariantError("Tor term failed to vanish on a free factor")
     step3 = _step(
         "tor_vanishing",
-        {"left_factor": kx.as_dict()},
+        {"left_factor": kx},
         {
-            "sites": [s.label() for s in _J_BRANCH_SITES],
-            "tor1_degree0": tor_deg0.as_dict(),
-            "tor1_degree1": tor_deg1.as_dict(),
+            "sites": [SITE_LABELS[s] for s in _J_BRANCH_SITES],
+            "tor1_degree0": tor_deg0,
+            "tor1_degree1": tor_deg1,
         },
         "Tor_1 vanishes because the trivial-factor theory localizes to a free module",
     )
 
-    ambient = RModuleSum(triv=2 ** (n - 1))  # ordinary K-theory of T^n per degree
+    ambient = module(TrivZ=2 ** (n - 1))  # ordinary K-theory of T^n per degree
     step4 = _step(
         "zt_argument",
-        {"ambient_per_degree": ambient.as_dict()},
+        {"ambient_per_degree": ambient},
         {
             "sites": [localize(ambient, s) for s in _I_BRANCH_SITES],
             "conclusion": (
@@ -287,7 +288,7 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
         "after localization, giving the submodule embedding",
     )
 
-    ranks = module_rank(t_deg0), module_rank(t_deg1)
+    ranks = (module_rank(product),) * 2
     deloc = k_ranks_delocalized(lat)
     if deloc != ranks:
         raise InternalInvariantError(f"route disagreement: assembly {ranks}, delocalized {deloc}")
@@ -347,13 +348,13 @@ def integral_k_theory(lat: InvolutiveLattice) -> dict:
         return _rank_fields(k_ranks_delocalized(lat), _RATIONAL_ONLY)
     n = lat.n
     if cls is ActionClass.TRIVIAL:
-        case, modules = "trivial", (RModuleSum(free=2 ** (n - 1)),) * 2
+        case, modules = "trivial", (module(FreeR=2 ** (n - 1)),) * 2
         anchor = (
             "for a trivial action the equivariant theory is the coefficient "
             "ring tensored with the ordinary theory, a free module"
         )
     else:
-        case, modules = "free", (RModuleSum(triv=2 ** (n - 1), sign=2**n), RModuleSum())
+        case, modules = "free", (module(TrivZ=2 ** (n - 1), SignZ=2**n), module())
         anchor = (
             "for an action free away from the origin, degree 0 is a split "
             "extension of the two rank-1 ideals and degree 1 vanishes"
@@ -361,7 +362,7 @@ def integral_k_theory(lat: InvolutiveLattice) -> dict:
     ranks = module_rank(modules[0]), module_rank(modules[1])
     if k_ranks_delocalized(lat) != ranks:
         raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
-    structure = {"k0": modules[0].as_dict(), "k1": modules[1].as_dict()}
+    structure = {"k0": modules[0], "k1": modules[1]}
     step = _step(
         f"{case}_action_structure",
         {"n": n},

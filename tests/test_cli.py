@@ -599,6 +599,33 @@ class TestParserReuse:
             assert out == "" and err.endswith("error: unrecognized arguments: --no-such-flag\n")
 
 
+class TestTerminalWidth:
+    """Help and usage text is laid out at argparse's COLUMNS=80 width, whatever
+    the terminal says."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["cstar", "--help"], 0),
+            (["verify", "--help"], 0),
+            (["cstar", "--format", "x"], 2),
+            (["verify"], 2),
+        ],
+        ids=["help", "cstar-help", "verify-help", "bad-format", "missing-n"],
+    )
+    def test_help_and_usage_ignore_columns(self, capsys, monkeypatch, argv, code):
+        printed = []
+        for columns in ("80", "40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            printed.append(capsys.readouterr())
+        assert printed[1] == printed[0]
+        assert printed[2] == printed[0]
+
+
 class TestVerify:
     def test_small_sweep_passes_and_flags_swap(self, capsys):
         code, doc = run_json(capsys, ["verify", "--n", "2", "--seed", "1", "--count", "1", "--format", "json"])

@@ -11,41 +11,50 @@ from crystalk.repring import (
     MIN_PLUS,
     ODD_MINUS,
     ODD_PLUS,
-    RModuleSum,
     load_tables,
     localize,
+    module,
     rank,
     tensor,
     tor1,
 )
 from crystalk.oracle import resolution_module_class
 
-FREE = RModuleSum(free=1)
-TRIV = RModuleSum(triv=1)
-SIGN = RModuleSum(sign=1)
-TOR = RModuleSum(tor2=1)
-ZERO = RModuleSum()
+FREE = module(FreeR=1)
+TRIV = module(TrivZ=1)
+SIGN = module(SignZ=1)
+TOR = module(TorF2=1)
+ZERO = module()
 
 BASIS = {"FreeR": FREE, "TrivZ": TRIV, "SignZ": SIGN, "TorF2": TOR}
 
 ALL_SITES = (MIN_PLUS, MIN_MINUS, DYADIC, ODD_PLUS, ODD_MINUS)
-GOOD_SITES = tuple(s for s in ALL_SITES if s.kind != "Dyadic")
+GOOD_SITES = tuple(s for s in ALL_SITES if s != DYADIC)
 
 
-class TestRModuleSum:
+class TestModule:
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RModuleSum(free=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            module(FreeR=-1)
 
-    def test_direct_sum(self):
-        assert TRIV + SIGN + TRIV == RModuleSum(triv=2, sign=1)
+    def test_rejects_an_unknown_class(self):
+        with pytest.raises(ValueError, match="unknown class 'free'"):
+            module(free=1)
+
+    def test_holds_every_class_in_order(self):
+        assert module(SignZ=3) == {"FreeR": 0, "TrivZ": 0, "SignZ": 3, "TorF2": 0}
+        assert list(module(TorF2=1, FreeR=2)) == list(CLASS_ORDER)
 
 
-class TestPrimeSite:
+class TestSiteLabels:
     def test_labels(self):
-        assert ODD_PLUS.label() == "OddPlus(3)"
-        assert ODD_MINUS.label() == "OddMinus(3)"
-        assert DYADIC.label() == "Dyadic"
+        assert [localize(ZERO, s)["site"] for s in ALL_SITES] == [
+            "MinPlus", "MinMinus", "Dyadic", "OddPlus(3)", "OddMinus(3)"
+        ]
+
+    def test_sites_are_the_table_keys(self):
+        for cells in load_tables()["localize"].values():
+            assert sorted(cells) == sorted(ALL_SITES)
 
 
 class TestRank:
@@ -54,21 +63,17 @@ class TestRank:
 
     def test_free_factor_structure_at_codimension_one(self):
         # J^(2^0) + I^(2^1) for a one-dimensional free factor
-        assert rank(RModuleSum(triv=1, sign=2)) == 3
+        assert rank(module(TrivZ=1, SignZ=2)) == 3
 
     def test_torsion_has_rank_zero(self):
-        assert rank(RModuleSum(tor2=3)) == 0
+        assert rank(module(TorF2=3)) == 0
 
 
 class TestTensorAndTor:
     def test_matches_resolution_verifier_everywhere(self):
         for x, y in itertools.product(CLASS_ORDER, repeat=2):
-            assert tensor(BASIS[x], BASIS[y]).as_dict() == RModuleSum.from_dict(
-                resolution_module_class(x, y, 0)
-            ).as_dict(), (x, y)
-            assert tor1(BASIS[x], BASIS[y]).as_dict() == RModuleSum.from_dict(
-                resolution_module_class(x, y, 1)
-            ).as_dict(), (x, y)
+            assert tensor(BASIS[x], BASIS[y]) == module(**resolution_module_class(x, y, 0)), (x, y)
+            assert tor1(BASIS[x], BASIS[y]) == module(**resolution_module_class(x, y, 1)), (x, y)
 
     def test_ring_acts_as_identity(self):
         for m in BASIS.values():
@@ -97,14 +102,13 @@ class TestTensorAndTor:
             assert tor1(BASIS[x], BASIS[y]) == tor1(BASIS[y], BASIS[x])
 
     def test_bilinearity(self):
-        m = RModuleSum(free=2, triv=1)
-        n = RModuleSum(sign=3, tor2=1)
-        expected = ZERO
-        for name_x, mult_x in m.as_dict().items():
-            for name_y, mult_y in n.as_dict().items():
-                expected = expected + tensor(BASIS[name_x], BASIS[name_y]).scale(
-                    mult_x * mult_y
-                )
+        m = module(FreeR=2, TrivZ=1)
+        n = module(SignZ=3, TorF2=1)
+        expected = module()
+        for name_x, mult_x in m.items():
+            for name_y, mult_y in n.items():
+                for name, mult in tensor(BASIS[name_x], BASIS[name_y]).items():
+                    expected[name] += mult_x * mult_y * mult
         assert tensor(m, n) == expected
 
 
@@ -128,7 +132,7 @@ class TestLocalize:
     def test_torsion_survives_only_at_the_dyadic_point(self):
         for site in ALL_SITES:
             flag = localize(TOR, site)["torsion_flag"]
-            assert flag == (site.kind == "Dyadic")
+            assert flag == (site == DYADIC)
 
     def test_dyadic_keeps_rank_one_classes_torsion_free(self):
         for m in (TRIV, SIGN, FREE):
@@ -138,10 +142,10 @@ class TestLocalize:
         assert "Z-rank 2" in localize(FREE, DYADIC)["note"]
 
     def test_additive_over_sums(self):
-        m = RModuleSum(free=2, triv=3, sign=5, tor2=7)
+        m = module(FreeR=2, TrivZ=3, SignZ=5, TorF2=7)
         for site in ALL_SITES:
             total = sum(
-                m.multiplicity(name) * localize(BASIS[name], site)["free_rank"]
+                m[name] * localize(BASIS[name], site)["free_rank"]
                 for name in CLASS_ORDER
             )
             assert localize(m, site)["free_rank"] == total
@@ -155,7 +159,7 @@ class TestLocalize:
                 assert localize(tensor(BASIS[x], BASIS[y]), site)["free_rank"] == product_rank, (
                     x,
                     y,
-                    site.label(),
+                    site,
                 )
 
 
@@ -185,7 +189,7 @@ class TestKunnethFailureAtPlusSites:
         submodule argument on that branch.
         """
         orbit = TRIV
-        product_theory = RModuleSum(triv=2)  # two free orbits
+        product_theory = module(TrivZ=2)  # two free orbits
         site = MIN_PLUS
         lhs = localize(product_theory, site)["free_rank"]
         tensor_part = localize(tensor(orbit, orbit), site)["free_rank"]

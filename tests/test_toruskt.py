@@ -15,7 +15,7 @@ from crystalk.lattice import (
     validate_involution,
 )
 from crystalk.oracle import involution_corpus, structure_classes, tate_invariants
-from crystalk.repring import RModuleSum
+from crystalk.repring import module
 from crystalk.toruskt import (
     CohomologyAction,
     FixedSetDescription,
@@ -207,6 +207,15 @@ class TestKunnethAssembly:
     def test_rank_three(self):
         assert kunneth_assembly(split_lat(3, 2))["ranks"] == {"k0": 6, "k1": 6}
 
+    def test_module_work_per_assembly(self, count_calls):
+        # kx is the same in both degrees, so one tensor product serves both;
+        # Tor_1 once per degree; localize per degree at the two (1 + t)
+        # sites, then once at each of the three (1 - t) sites
+        lat = split_lat(4, 1)
+        calls = [count_calls(f) for f in (toruskt.tensor, toruskt.tor1, toruskt.localize)]
+        kunneth_assembly(lat)
+        assert [len(c) for c in calls] == [1, 2, 7]
+
     def test_step_names_in_order(self):
         names = [s["step"] for s in kunneth_assembly(PM)["certificate"]["steps"]]
         assert names == [
@@ -255,7 +264,9 @@ class TestKunnethAssembly:
         # one extra trivial summand in every tensor cell: the assembled rank
         # moves, and the comparison with the delocalized route must see it
         real = toruskt.tensor
-        monkeypatch.setattr(toruskt, "tensor", lambda m, n: real(m, n) + RModuleSum(triv=1))
+        monkeypatch.setattr(
+            toruskt, "tensor", lambda m, n: {k: v + (k == "TrivZ") for k, v in real(m, n).items()}
+        )
         with pytest.raises(InternalInvariantError, match="route disagreement"):
             kunneth_assembly(PM)
 
@@ -277,16 +288,16 @@ class TestIntegralKTheory:
         for n in (1, 3):
             report = integral_k_theory(lat([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
             assert report["module_structure"] == {
-                "k0": RModuleSum(free=2 ** (n - 1)).as_dict(),
-                "k1": RModuleSum(free=2 ** (n - 1)).as_dict(),
+                "k0": module(FreeR=2 ** (n - 1)),
+                "k1": module(FreeR=2 ** (n - 1)),
             }
             assert report["ranks"] == {"k0": 2**n, "k1": 2**n}
 
     def test_free_module_structure(self):
         report = integral_k_theory(lat([[-1, 0], [0, -1]]))
         assert report["module_structure"] == {
-            "k0": RModuleSum(triv=2, sign=4).as_dict(),
-            "k1": RModuleSum().as_dict(),
+            "k0": {"FreeR": 0, "TrivZ": 2, "SignZ": 4, "TorF2": 0},
+            "k1": {"FreeR": 0, "TrivZ": 0, "SignZ": 0, "TorF2": 0},
         }
         assert report["ranks"] == {"k0": 6, "k1": 0}
 
