@@ -19,7 +19,8 @@ different method at desk scale:
   over Z[t]/(t^2 - 1), each class's differentials as group-ring
   matrices realized as integer matrices, homology via Smith normal
   form, labelled by the action of t on its free part and on its
-  2-torsion;
+  2-torsion; each localize cell is read off the class's tensor answers
+  with TrivZ, SignZ and TorF2;
 * structure invariants, from the mod-2 quotients that define them, on
   integer kernel bases from one Smith normal form per quotient, whose
   V_inv gives the kernel coordinates;
@@ -60,8 +61,11 @@ from .lattice import (
 from .repring import (
     _SITE_KINDS,
     CLASS_ORDER,
+    DYADIC,
     _pair_key,
     canonical_table_bytes,
+    module,
+    rank,
     sha256,
     table_checksum,
 )
@@ -492,36 +496,32 @@ def resolution_module_class(m_class: str, n_class: str, degree: int) -> dict[str
 # ---------------------------------------------------------------------------
 # regenerated tables
 
-# the sign s by which t acts at each minimal and odd site: a cell's free rank
-# is that of the coinvariants, the cokernel of t - s
-_SITE_SIGNS = {"MinPlus": 1, "MinMinus": -1, "OddPlus": 1, "OddMinus": -1}
 
+def _localize_cell(answers: dict[str, dict[str, int]], kind: str) -> dict:
+    """A class M localized at a site kind, read off ``answers[y]`` = M ⊗ y.
 
-def _localize_cell(name: str, kind: str) -> dict:
-    if name == "TorF2":
-        if kind == "Dyadic":
-            return {
-                "free_rank": 0,
-                "torsion_flag": True,
-                "note": "2-torsion survives at the dyadic point",
-            }
-        return {"free_rank": 0, "torsion_flag": False}
-    rep = _REPS[name]
-    if kind == "Dyadic":  # minimal generator count over the local ring
-        gens = rep.rows - _gf2_rank_rows(_tensor_int([[_T_MINUS]], rep).transpose())
-        # Z-torsion-free on `gens` generators: free exactly when its Z-rank is 2·gens
-        if rep.rows == 2 * gens:
-            note = f"free of rank {gens} over the dyadic local ring (Z-rank {rep.rows})"
-        else:
-            note = "cyclic over the dyadic local ring; Z-torsion-free but not free over it"
-        return {"free_rank": gens, "torsion_flag": False, "note": note}
-    coinv = smith_normal_form(_tensor_int([[(-_SITE_SIGNS[kind], 1)]], rep))
-    for d in coinv.divisors:
-        if d not in (0, 1, 2):
-            raise InternalInvariantError("unexpected coinvariant torsion")
-    free = sum(1 for d in coinv.divisors if d == 0)
-    # all coinvariant torsion is 2-primary, so odd sites never see it
-    return {"free_rank": free, "torsion_flag": False}
+    2 is a unit at a minimal or odd site, where t acts as a sign s: the
+    free rank is the Z-rank of M ⊗ R/(t - s), TrivZ's answer on the Plus
+    branch and SignZ's on the Minus one.  At the dyadic point M ⊗ TorF2 =
+    M/(t - 1, 2)M counts the generators (Nakayama), and the two branch
+    ranks add up to M's Z-rank: 0 leaves only 2-torsion, which survives
+    there alone, and a Z-torsion-free M on `gens` generators is free
+    exactly when its Z-rank is 2·gens.
+    """
+    plus, minus = (rank(module(**answers[y])) for y in ("TrivZ", "SignZ"))
+    if kind != DYADIC:
+        return {"free_rank": plus if kind.endswith("Plus") else minus, "torsion_flag": False}
+    gens, z_rank = answers["TorF2"].get("TorF2", 0), plus + minus
+    if z_rank == 0:
+        note = "2-torsion survives at the dyadic point"
+        return {"free_rank": 0, "torsion_flag": True, "note": note}
+    if z_rank == 2 * gens:
+        note = f"free of rank {gens} over the dyadic local ring (Z-rank {z_rank})"
+    elif gens == 1:
+        note = "cyclic over the dyadic local ring; Z-torsion-free but not free over it"
+    else:
+        raise InternalInvariantError(f"Z-rank {z_rank} on {gens} dyadic generators, not free")
+    return {"free_rank": gens, "torsion_flag": False, "note": note}
 
 
 def regenerate_tables() -> dict:
@@ -542,10 +542,10 @@ def regenerate_tables() -> dict:
                         f"asymmetric degree-{degree} answer for {x}, {y}: {fwd} vs {bwd}"
                     )
                 table[_pair_key(x, y)] = fwd
-    localize_table = {
-        name: {kind: _localize_cell(name, kind) for kind in _SITE_KINDS}
-        for name in CLASS_ORDER
-    }
+    localize_table = {}
+    for name in CLASS_ORDER:
+        answers = {y: tensor_table[_pair_key(name, y)] for y in ("TrivZ", "SignZ", "TorF2")}
+        localize_table[name] = {kind: _localize_cell(answers, kind) for kind in _SITE_KINDS}
     return {
         "classes": list(CLASS_ORDER),
         "tensor": tensor_table,

@@ -245,10 +245,10 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
     # the graded tensor product: kx is the same in both degrees, so each
     # degree is kx (x) (ky0 + ky1)
     product = tensor(kx, {name: mult + ky1[name] for name, mult in ky0.items()})
-    j_locs = [
-        {"site": SITE_LABELS[s], "degree0": localize(product, s), "degree1": localize(product, s)}
-        for s in _J_BRANCH_SITES
-    ]
+    j_locs = []
+    for s in _J_BRANCH_SITES:
+        loc = localize(product, s)  # the same module in both degrees
+        j_locs.append({"site": SITE_LABELS[s], "degree0": loc, "degree1": loc})
     step2 = _step(
         "localized_kunneth",
         {"degree0": product, "degree1": product},

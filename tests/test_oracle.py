@@ -28,7 +28,7 @@ from crystalk.oracle import (
     structure_classes,
     tate_invariants,
 )
-from crystalk.repring import _load_table_bytes, table_checksum
+from crystalk.repring import _SITE_KINDS, _load_table_bytes, table_checksum
 from crystalk.toruskt import CohomologyAction, cohomology_invariants, fixed_set
 
 
@@ -462,6 +462,20 @@ class TestResolutionTor:
     def test_degree_bound(self):
         with pytest.raises(ValueError):
             resolution_module_class("TrivZ", "TrivZ", 3)
+
+    def test_localize_cells_read_off_tensor_answers(self):
+        # made-up answers: Z-rank 3 on two dyadic generators is neither free
+        # nor cyclic, and no note describes it
+        answers = {"TrivZ": {"TrivZ": 2}, "SignZ": {"SignZ": 1}, "TorF2": {"TorF2": 2}}
+        assert oracle._localize_cell(answers, "MinPlus")["free_rank"] == 2
+        assert oracle._localize_cell(answers, "OddMinus")["free_rank"] == 1
+        with pytest.raises(InternalInvariantError):
+            oracle._localize_cell(answers, "Dyadic")
+        # Z-rank 0 is all 2-torsion, which survives only at the dyadic point
+        torsion = {"TrivZ": {"TorF2": 3}, "SignZ": {"TorF2": 3}, "TorF2": {"TorF2": 3}}
+        cells = {kind: oracle._localize_cell(torsion, kind) for kind in _SITE_KINDS}
+        assert {kind for kind, cell in cells.items() if cell["torsion_flag"]} == {"Dyadic"}
+        assert all(cell["free_rank"] == 0 for cell in cells.values())
 
     def test_regenerates_packaged_file_byte_identically(self):
         assert render_table_file_bytes() == _load_table_bytes()

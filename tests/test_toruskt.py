@@ -208,13 +208,13 @@ class TestKunnethAssembly:
         assert kunneth_assembly(split_lat(3, 2))["ranks"] == {"k0": 6, "k1": 6}
 
     def test_module_work_per_assembly(self, count_calls):
-        # kx is the same in both degrees, so one tensor product serves both;
-        # Tor_1 once per degree; localize per degree at the two (1 + t)
-        # sites, then once at each of the three (1 - t) sites
+        # kx is the same in both degrees, so one tensor product, and one
+        # localization of it at each of the two (1 + t) sites, serves both;
+        # Tor_1 once per degree; localize once at each of the three (1 - t) sites
         lat = split_lat(4, 1)
         calls = [count_calls(f) for f in (toruskt.tensor, toruskt.tor1, toruskt.localize)]
         kunneth_assembly(lat)
-        assert [len(c) for c in calls] == [1, 2, 7]
+        assert [len(c) for c in calls] == [1, 2, 5]
 
     def test_step_names_in_order(self):
         names = [s["step"] for s in kunneth_assembly(PM)["certificate"]["steps"]]
