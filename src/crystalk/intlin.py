@@ -5,19 +5,20 @@ built alongside: every exact inverse the package needs is read off
 the transform that built it, so no solve runs a second Smith form.
 One fraction-free (Bareiss) elimination, ``_bareiss``, gives both the
 determinant and the rank over Q.  Integer kernels and kernel
-coordinates, an exact check of M·M = I on the nonzeros of each row,
-ranks over F_2 and F_3 on bitmask rows (the F_3 one from an echelon
-table whose leading positions a caller can read), bitmask rows cut
-out of one int by bytes, exterior-power trace polynomials, and seeded
-unimodular matrices with their inverses.  Every operation works on
-arbitrary-precision Python integers; nothing in this module touches
-floating point.
+coordinates; a matrix read once as its nonzeros, on which the exact
+check of M·M = I and the bitmask rows mod 2 and mod 3 work per
+nonzero; ranks over F_2 and F_3 on bitmask rows (the F_3 one from an
+echelon table whose leading positions a caller can read), bitmask rows
+cut out of one int by bytes, exterior-power trace polynomials, and
+seeded unimodular matrices with their inverses.  Every operation works
+on arbitrary-precision Python integers; nothing here touches floating
+point.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._frozen import Frozen
@@ -29,6 +30,7 @@ __all__ = [
     "kernel_columns",
     "kernel_coordinates",
     "exterior_trace_poly",
+    "nonzeros",
     "first_row_off_identity_square",
     "random_unimodular",
 ]
@@ -315,30 +317,51 @@ def kernel_coordinates(snf: SmithDecomposition, vectors: IntMatrix) -> IntMatrix
     return IntMatrix(vectors.rows - r, c, coords[r * c :])
 
 
-def first_row_off_identity_square(rows: Sequence[Sequence[int]]) -> int | None:
+class Nonzeros(NamedTuple):
+    """The nonzero entries of a matrix with ``cols`` columns, row by row: row i
+    holds the next ``counts[i]`` of ``values``, at the same places of ``columns``."""
+
+    cols: int
+    values: list[int]
+    columns: list[int]
+    counts: list[int]
+
+
+def nonzeros(m: IntMatrix) -> Nonzeros:
+    """The nonzeros of m, read by C-level passes over its entries."""
+    e, c = m.entries, m.cols
+    starts = list(map(operator.mul, range(m.rows + 1), repeat(c)))
+    zeros = map(tuple.count, map(e.__getitem__, map(slice, starts, starts[1:])), repeat(0))
+    counts = list(map(operator.sub, repeat(c), zeros))
+    return Nonzeros(c, list(compress(e, e)), list(compress(cycle(range(c)), e)), counts)
+
+
+def _row_sums(items: Iterable[int], counts: Sequence[int]) -> Iterator[int]:
+    """Lazily, per row, the sum of its items: row i takes the next counts[i]."""
+    return map(sum, map(islice, repeat(iter(items)), counts))
+
+
+def first_row_off_identity_square(nz: Nonzeros) -> int | None:
     """Index of the first row where M·M differs from I, or None if M·M = I.
 
-    Exact, by Kronecker substitution on the nonzeros of each row: row t
-    of the square M is packed into P_t = sum_j M[t][j]·2^(w·j), signed
-    slots of width w = bit_length(r·m) + 2 for r the largest absolute
-    row sum of M and m its largest absolute entry, so sum_t M[i][t]·P_t
-    packs row i of M·M.  Every entry of M·M - I has absolute value at
-    most r·m + 1 < 2^(w-1), and packing is injective on such entries, so
-    the packed row is 2^(w·i) exactly when row i of M·M is the unit row.
+    Exact, by Kronecker substitution on the nonzeros of the square M: row
+    t of M is packed into P_t = sum_j M[t][j]·2^(w·j), signed slots of
+    width w = bit_length(r·m + 1) + 1 for r the largest absolute row sum
+    of M and m its largest absolute entry, so sum_t M[i][t]·P_t packs row
+    i of M·M.  Every entry of M·M - I has absolute value at most
+    r·m + 1 < 2^(w-1), and packing is injective on such entries, so the
+    packed row is 2^(w·i) exactly when row i of M·M is the unit row; the
+    rows are summed lazily, up to the first bad one.
     """
-    columns = range(len(rows))
-    sparse = [(list(compress(columns, r)), list(compress(r, r))) for r in rows]
-    sizes = [list(map(abs, vals)) for _, vals in sparse]
-    bound = max(map(sum, sizes), default=0) * max(map(max, filter(None, sizes)), default=0)
-    w = bound.bit_length() + 2
-    packed = [
-        sum(map(operator.lshift, vals, map(operator.mul, cols, repeat(w))))
-        for cols, vals in sparse
-    ]
-    for i, (cols, vals) in enumerate(sparse):
-        if sum(map(operator.mul, vals, map(packed.__getitem__, cols))) != 1 << (w * i):
-            return i
-    return None
+    _, values, columns, counts = nz
+    sizes = list(map(abs, values))
+    bound = max(_row_sums(sizes, counts), default=0) * max(sizes, default=0) + 1
+    w = bound.bit_length() + 1
+    shifted = map(operator.lshift, values, map(operator.mul, columns, repeat(w)))
+    packed = list(_row_sums(shifted, counts))
+    squared = _row_sums(map(operator.mul, values, map(packed.__getitem__, columns)), counts)
+    units = map(operator.lshift, repeat(1), range(0, w * len(counts), w))
+    return next(compress(range(len(counts)), map(operator.ne, squared, units)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,31 +425,23 @@ def _byte_blocks(x: int, size: int, count: int) -> Iterator[int]:
     return map(int.from_bytes, blocks, repeat("little"))
 
 
-# x % 6 fixes x mod 2 and x mod 3; each table turns a residue into an ASCII bit
-_ODD = bytes.maketrans(bytes(range(6)), b"010101")
-_ONE_MOD_3 = bytes.maketrans(bytes(range(6)), b"010010")
-_TWO_MOD_3 = bytes.maketrans(bytes(range(6)), b"001001")
+def _residue_masks(nz: Nonzeros) -> tuple[list[int], list[int], list[int]]:
+    """Per row, the bitmasks of its entries that are odd, 1 mod 3 and 2 mod 3.
 
-
-def _residue_masks(m: IntMatrix) -> list[tuple[int, int, int]]:
-    """Per row of m, the bitmasks of its entries that are odd, 1 mod 3 and 2 mod 3.
-
-    Bit j stands for column j.  One pass reduces every entry mod 6;
-    the masks are then read off as binary numerals, row reversed.
+    Bit j stands for column j.  Each nonzero's residue r mod 6 picks a
+    code whose three lanes of width cols hold r mod 2, [r = 1 mod 3] and
+    [r = 2 mod 3]; shifted to their columns, a row's codes share no bit,
+    so their sum holds the row's three masks side by side.
     """
-    c = m.cols
-    residues = bytes(map(operator.mod, m.entries, repeat(6)))
-    out = []
-    for i in range(m.rows):
-        row = residues[i * c : (i + 1) * c][::-1] or b"0"
-        out.append(
-            (
-                int(row.translate(_ODD), 2),
-                int(row.translate(_ONE_MOD_3), 2),
-                int(row.translate(_TWO_MOD_3), 2),
-            )
-        )
-    return out
+    c = nz.cols
+    codes = [r & 1 | (r % 3 == 1) << c | (r % 3 == 2) << 2 * c for r in range(6)]
+    residues = map(operator.mod, nz.values, repeat(6))
+    shifted = map(operator.lshift, map(codes.__getitem__, residues), nz.columns)
+    lanes = list(_row_sums(shifted, nz.counts))
+    low = (1 << c) - 1
+    odd = list(map(operator.and_, lanes, repeat(low)))
+    ones = list(map(operator.and_, map(operator.rshift, lanes, repeat(c)), repeat(low)))
+    return odd, ones, list(map(operator.rshift, lanes, repeat(2 * c)))
 
 
 def exterior_trace_poly(a: IntMatrix) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ computes the multiplicities (a, b, c) of those three summands from
 ranks over F_2 and F_3, sorts actions into four classes, and produces
 an explicit unimodular change of basis U to the canonical
 block-diagonal form T from two Smith forms, certified by A·U = U·T and
-|det U| = 1 with no inverse computed.
+|det U| = 1 with no inverse computed.  A lattice reads its matrix once,
+as its nonzeros, for both the exact A·A = I check and the F_2/F_3 ranks.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from ._frozen import Frozen
 from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
+    Nonzeros,
     _f3_add,
     _f3_rank,
     _gf2_basis,
     _residue_masks,
     first_row_off_identity_square,
+    nonzeros,
     smith_normal_form,
 )
 
@@ -45,17 +48,17 @@ __all__ = [
 class InvolutiveLattice(Frozen):
     """Z^n together with a validated order-2 integer matrix action."""
 
-    __slots__ = ("n", "matrix", "_analysis")
-    _fields = ("n", "matrix")  # the cached analysis stays out of ==, hash and repr
+    __slots__ = ("n", "matrix", "_nonzeros", "_analysis")
+    _fields = ("n", "matrix")  # the nonzeros and cached analysis stay out of ==, hash, repr
 
     def __init__(self, n: int, matrix: IntMatrix) -> None:
-        self._set(n, matrix, None)
+        self._set(n, matrix, nonzeros(matrix), None)
 
     @property
     def analysis(self) -> LatticeAnalysis:
         """Structure of the action, computed once per lattice."""
         if self._analysis is None:
-            object.__setattr__(self, "_analysis", _analyse(self.matrix))
+            object.__setattr__(self, "_analysis", _analyse(self.matrix, self._nonzeros))
         return self._analysis
 
 
@@ -105,17 +108,17 @@ def validate_involution(a: IntMatrix) -> InvolutiveLattice:
     """
     if not a.is_square or a.rows == 0:
         raise NotSquareError(f"need a square matrix of positive size, got {a.rows}x{a.cols}")
-    rows = a.to_rows()
-    i = first_row_off_identity_square(rows)
+    lat = InvolutiveLattice(n=a.rows, matrix=a)
+    i = first_row_off_identity_square(lat._nonzeros)
     if i is not None:
-        row = rows[i]
-        for j, col in enumerate(zip(*rows)):
+        row = a.entries[i * a.cols : (i + 1) * a.cols]
+        for j in range(a.cols):
             expected = int(i == j)
-            got = sum(map(operator.mul, row, col))
+            got = sum(map(operator.mul, row, a.column(j)))
             if got != expected:
                 raise NotInvolutionError(i, j, got, expected)
         raise InternalInvariantError(f"row {i} of A*A is off the identity yet every entry matches")
-    return InvolutiveLattice(n=a.rows, matrix=a)
+    return lat
 
 
 def invariants(lat: InvolutiveLattice) -> StructureInvariants:
@@ -128,13 +131,13 @@ def classify(lat: InvolutiveLattice) -> ActionClass:
     return lat.analysis.action_class
 
 
-def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
+def _analyse(a_mat: IntMatrix, nz: Nonzeros) -> LatticeAnalysis:
     """Analysis of a validated involution from ranks over F_2 and F_3.
 
-    Precondition: A·A = I exactly.  This function is reached only
-    through :attr:`InvolutiveLattice.analysis`, and
-    :func:`validate_involution`, the only constructor of a lattice,
-    has checked it.
+    Precondition: A·A = I exactly, and nz holds the nonzeros of A.
+    This function is reached only through
+    :attr:`InvolutiveLattice.analysis`, and :func:`validate_involution`,
+    the only constructor of a lattice, has checked A·A = I on that nz.
 
     Write r2 = rank_F2(A - I) and r3 = rank_F3(A - I).  Given A·A = I:
 
@@ -155,10 +158,11 @@ def _analyse(a_mat: IntMatrix) -> LatticeAnalysis:
     identity follows from A·A = I, so checking it here would catch nothing.
     """
     n = a_mat.rows
-    masks = _residue_masks(a_mat)
-    r2 = len(_gf2_basis(odd ^ 1 << i for i, (odd, _, _) in enumerate(masks)))
+    odd, ones, twos = _residue_masks(nz)
+    diagonal = [1 << i for i in range(n)]
+    r2 = len(_gf2_basis(map(operator.xor, odd, diagonal)))
     # subtracting I adds 2 on the diagonal
-    r3 = _f3_rank(_f3_add((ones, twos), (0, 1 << i)) for i, (_, ones, twos) in enumerate(masks))
+    r3 = _f3_rank(map(_f3_add, zip(ones, twos), zip([0] * n, diagonal)))
     inv = StructureInvariants(a=n - r3 - r2, b=r3 - r2, c=r2)
 
     if inv.c >= 1:

@@ -48,6 +48,7 @@ from .intlin import (
     first_row_off_identity_square,
     kernel_columns,
     kernel_coordinates,
+    nonzeros,
     random_unimodular,
     smith_normal_form,
 )
@@ -101,7 +102,7 @@ def rank_exact(m: IntMatrix) -> int:
 
 
 def _gf2_rank_rows(m: IntMatrix) -> int:
-    return len(_gf2_basis(odd for odd, _, _ in _residue_masks(m)))
+    return len(_gf2_basis(_residue_masks(nonzeros(m))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def exterior_action_invariants(a: IntMatrix) -> CohomologyAction:
         raise DimensionTooLargeError(
             f"exterior verifier bounded at n <= {EXTERIOR_MAX_DIM}, got {n}"
         )
-    if first_row_off_identity_square(a.to_rows()) is not None:
+    if first_row_off_identity_square(nonzeros(a)) is not None:
         raise InternalInvariantError("exterior action is not semisimple over Q")
     images = _f3_exterior_images(a)
     width = _block_width(n)
@@ -372,7 +373,7 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
             count += counts1[key]
             components.update(high ^ h for h in highs1[key])
     # reduce modulo the mod-2 column space, its bit i spread to the top of slot i
-    for b in _gf2_basis(odd for odd, _, _ in _residue_masks(m_int.transpose())):
+    for b in _gf2_basis(_residue_masks(nonzeros(m_int.transpose()))[0]):
         lead = (b.bit_length() - 1) * width + shift
         b = sum(1 << (i * width + shift) for i in range(n) if b >> i & 1)
         components = {x ^ b if x >> lead & 1 else x for x in components}
@@ -633,7 +634,6 @@ def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]
     if count < 1:
         raise ValueError("count must be at least 1")
     members: list[CorpusMember] = []
-    ident = IntMatrix.identity(n)
     for a, b, c in structure_classes(n):
         canon = canonical_matrix(a, b, c)
         for i in range(count):
@@ -647,7 +647,7 @@ def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]
                     break
             if mat is None:
                 raise InternalInvariantError("no bounded conjugate found")
-            if mat @ mat != ident:
+            if first_row_off_identity_square(nonzeros(mat)) is not None:
                 raise InternalInvariantError("conjugate lost the involution property")
             members.append(
                 CorpusMember(invariants=StructureInvariants(a=a, b=b, c=c), matrix=mat)

@@ -108,7 +108,7 @@ def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     product of the even/odd parts of the two exterior algebras.
     """
     n = lat.n
-    trace = sum(lat.matrix.entry(i, i) for i in range(n))
+    trace = sum(lat.matrix.entries[:: n + 1])
     p, odd = divmod(n + trace, 2)
     if odd or not 0 <= p <= n:
         raise InternalInvariantError(f"trace {trace} is not that of an involution on Z^{n}")

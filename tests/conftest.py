@@ -22,7 +22,7 @@ def small_corpora():
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(func) is a list that grows by one entry per call of
-    ``func`` through any crystalk module that binds it."""
+    ``func`` through any crystalk module, or class of one, that binds it."""
 
     def install(func):
         calls = []
@@ -32,8 +32,11 @@ def count_calls(monkeypatch):
             return func(*args)
 
         for name, mod in list(sys.modules.items()):
-            if name.startswith("crystalk") and vars(mod).get(func.__name__) is func:
-                monkeypatch.setattr(mod, func.__name__, counting)
+            if not name.startswith("crystalk"):
+                continue
+            for owner in (mod, *(v for v in vars(mod).values() if isinstance(v, type))):
+                if vars(owner).get(func.__name__) is func:
+                    monkeypatch.setattr(owner, func.__name__, counting)
         return calls
 
     return install

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError
 from crystalk.intlin import (
     IntMatrix,
+    _residue_masks,
     exterior_trace_poly,
     first_row_off_identity_square,
     kernel_columns,
     kernel_coordinates,
+    nonzeros,
     random_unimodular,
     smith_normal_form,
 )
@@ -212,6 +214,10 @@ class TestRandomUnimodular:
         assert max(p.max_abs(), p_inv.max_abs()) <= cap
 
 
+def off_identity(rows):
+    return first_row_off_identity_square(nonzeros(mat(rows)))
+
+
 def first_row_off_identity_by_dot_products(m):
     square = m @ m
     for i in range(m.rows):
@@ -279,16 +285,16 @@ class TestSquareIsIdentity:
         )
     )
     def test_matches_dot_products(self, m):
-        got = first_row_off_identity_square(m.to_rows())
+        got = first_row_off_identity_square(nonzeros(m))
         assert got == first_row_off_identity_by_dot_products(m)
 
     def test_involutions_and_first_bad_row(self):
-        assert first_row_off_identity_square([]) is None
-        assert first_row_off_identity_square([[0, 1], [1, 0]]) is None
-        assert first_row_off_identity_square([[1, 0], [2**70 + 1, -1]]) is None
-        assert first_row_off_identity_square([[1, 0], [0, 1 + 3**40]]) == 1
+        assert off_identity([]) is None
+        assert off_identity([[0, 1], [1, 0]]) is None
+        assert off_identity([[1, 0], [2**70 + 1, -1]]) is None
+        assert off_identity([[1, 0], [0, 1 + 3**40]]) == 1
         # row 0 of A·A is (1, 0) but row 1 is not
-        assert first_row_off_identity_square([[1, 0], [1, 1]]) == 1
+        assert off_identity([[1, 0], [1, 1]]) == 1
         # row 0 of A·A is (9, -1, 0, ..., 0): with 3-bit slots (sized by the
         # largest entry alone) it would pack to 9 - 2^3 = 1, like a unit row
         rows = [[1] * 10] + [
@@ -296,7 +302,7 @@ class TestSquareIsIdentity:
             for r in range(1, 10)
         ]
         assert first_row_off_identity_by_dot_products(mat(rows)) == 0
-        assert first_row_off_identity_square(rows) == 0
+        assert off_identity(rows) == 0
 
     def test_matches_dot_products_on_exterior_powers(self):
         # Λ^k(A) of an involution, and copies with one entry moved: set to
@@ -316,4 +322,40 @@ class TestSquareIsIdentity:
                         cases.append(rows)
                     for rows in cases:
                         want = first_row_off_identity_by_dot_products(mat(rows))
-                        assert first_row_off_identity_square(rows) == want
+                        assert off_identity(rows) == want
+
+
+shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def rectangular(draw):
+    """Any shape, zero rows and zero columns included, with small, zero,
+    negative and wide (beyond 64-bit) entries."""
+    r, c = draw(shapes)
+    entries = st.one_of(st.just(0), st.integers(-7, 7), st.integers(-(2**70), 2**70))
+    return IntMatrix(r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+
+class TestNonzeros:
+    @given(rectangular())
+    def test_rows_hold_their_nonzeros_in_order(self, m):
+        nz = nonzeros(m)
+        assert nz.cols == m.cols and len(nz.counts) == m.rows
+        values, columns = iter(nz.values), iter(nz.columns)
+        for i, k in enumerate(nz.counts):
+            row = [(j, x) for j, x in enumerate(m.entries[i * m.cols : (i + 1) * m.cols]) if x]
+            assert [(next(columns), next(values)) for _ in range(k)] == row
+        assert next(values, None) is None and next(columns, None) is None
+
+    @given(rectangular())
+    def test_masks_are_the_residues_of_each_entry(self, m):
+        def mask(row, keep):
+            return sum(1 << j for j, x in enumerate(row) if keep(x))
+
+        rows = m.to_rows()
+        assert _residue_masks(nonzeros(m)) == (
+            [mask(row, lambda x: x % 2) for row in rows],
+            [mask(row, lambda x: x % 3 == 1) for row in rows],
+            [mask(row, lambda x: x % 3 == 2) for row in rows],
+        )

@@ -7,6 +7,7 @@ from crystalk.intlin import (
     IntMatrix,
     _f3_rank,
     kernel_columns,
+    nonzeros,
     random_unimodular,
     smith_normal_form,
 )
@@ -83,6 +84,43 @@ class TestValidate:
         assert lat([[0, 1, 0], [1, 0, 0], [0, 0, -1]]).n == 3
         with pytest.raises(NotInvolutionError):
             lat([[1, 1], [0, 1]])
+
+    def test_analysis_reads_no_rows(self, count_calls):
+        # validation reads the matrix once, as its nonzeros, and the analysis
+        # reuses that form
+        calls = count_calls(IntMatrix.to_rows)
+        validate_involution(mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])).analysis
+        assert calls == []
+        mat(SWAP).to_rows()
+        assert len(calls) == 1
+
+    def test_dense_conjugate_and_one_moved_entry(self):
+        # 86% of the entries of this conjugate are nonzero
+        n = 120
+        p, p_inv = random_unimodular(n, seed=3, steps=1800, cap=9)
+        a = p @ canonical_matrix(40, 30, 25) @ p_inv
+        assert invariants(validate_involution(a)) == StructureInvariants(40, 30, 25)
+        entries = list(a.entries)
+        entries[57 * n + 88] += 1
+        moved = IntMatrix(n, n, tuple(entries))
+        # the first wrong entry of A*A in row-major order, by dot products
+        square = moved @ moved
+        want = next(
+            NotInvolutionError(i, j, square.entry(i, j), int(i == j))
+            for i in range(n)
+            for j in range(n)
+            if square.entry(i, j) != int(i == j)
+        )
+        with pytest.raises(NotInvolutionError) as err:
+            validate_involution(moved)
+        e = err.value
+        assert (e.row, e.col, e.value, e.expected, str(e)) == (
+            want.row,
+            want.col,
+            want.value,
+            want.expected,
+            str(want),
+        )
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
@@ -289,5 +327,6 @@ class TestAnalysisRoutes:
 
     def test_analysis_computes_one_f3_rank(self, count_calls):
         calls = count_calls(_f3_rank)
-        _analyse(canonical_matrix(1, 2, 1))
+        m = canonical_matrix(1, 2, 1)
+        _analyse(m, nonzeros(m))
         assert len(calls) == 1
