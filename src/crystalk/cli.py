@@ -40,11 +40,12 @@ EXIT_OK = 0
 # n = 450; a sparse conjugate (entries <= 4) takes 33 ms at n = 400 (2-core VM),
 # so larger inputs are refused before the rows are converted
 MAX_N = 400
-# validation packs each row into one int, slots bit_length(r·m + 1) + 1 bits wide
-# (r the largest absolute row sum, m the largest absolute entry): at n = 400 one
-# 1000-digit entry in a dense matrix took 7 s and 160 MiB to validate.  Dense
-# n = 400 involutions take about 0.34 / 0.53 / 1.1 s end to end at 16 / 33 /
-# 63-bit entries (2-core VM), so wider entries are refused before validation
+# validation packs each row into one int, slots w = bit_length(r·m + 1) bits wide
+# (r the largest absolute row sum, m the largest absolute entry, so every entry of
+# A·A - I is below 2^w in size): at n = 400 one 1000-digit entry in a dense matrix
+# took 7 s and 160 MiB to validate.  Dense n = 400 involutions take about 0.34 /
+# 0.53 / 1.1 s end to end at 16 / 33 / 63-bit entries (2-core VM, slots one bit
+# wider), so wider entries are refused before validation
 MAX_ENTRY_BITS = 64
 
 # verify --skip-grid --count 1 takes about 0.4 / 1.7 / 4.2 s cold at n = 16 / 24 / 32

@@ -6,11 +6,11 @@ the transform that built it, so no solve runs a second Smith form.
 One fraction-free (Bareiss) elimination, ``_bareiss``, gives both the
 determinant and the rank over Q.  Integer kernels and kernel
 coordinates; a matrix read once as its nonzeros, on which the exact
-check of M·M = I and the bitmask rows mod 2 and mod 3 work per
-nonzero; ranks over F_2 and F_3 on bitmask rows (the F_3 one from an
-echelon table whose leading positions a caller can read), bitmask rows
-cut out of one int by bytes, exterior-power trace polynomials, and
-seeded unimodular matrices with their inverses.  Every operation works
+check of M·M = I and the bitmask rows mod 2 work per nonzero; an
+echelon basis over F_2 and an echelon table over F_3 (whose leading
+positions a caller can read) on bitmask rows, bitmask rows cut out of
+one int by bytes, exterior-power trace polynomials, and seeded
+unimodular matrices with their inverses.  Every operation works
 on arbitrary-precision Python integers; nothing here touches floating
 point.
 """
@@ -346,17 +346,18 @@ def first_row_off_identity_square(nz: Nonzeros) -> int | None:
 
     Exact, by Kronecker substitution on the nonzeros of the square M: row
     t of M is packed into P_t = sum_j M[t][j]·2^(w·j), signed slots of
-    width w = bit_length(r·m + 1) + 1 for r the largest absolute row sum
-    of M and m its largest absolute entry, so sum_t M[i][t]·P_t packs row
-    i of M·M.  Every entry of M·M - I has absolute value at most
-    r·m + 1 < 2^(w-1), and packing is injective on such entries, so the
-    packed row is 2^(w·i) exactly when row i of M·M is the unit row; the
+    width w = bit_length(r·m + 1) for r the largest absolute row sum of M
+    and m its largest absolute entry, so sum_t M[i][t]·P_t packs row i of
+    M·M.  Every entry d_j of row i of M·M - I has |d_j| <= r·m + 1 < 2^w.
+    A packed sum_j d_j·2^(w·j) is 0 only if its lowest nonzero d_j is
+    divisible by 2^w (the higher terms are), which no such d_j is; so the
+    packed row is 2^(w·i) exactly when row i of M·M is the unit row.  The
     rows are summed lazily, up to the first bad one.
     """
     _, values, columns, counts = nz
     sizes = list(map(abs, values))
     bound = max(_row_sums(sizes, counts), default=0) * max(sizes, default=0) + 1
-    w = bound.bit_length() + 1
+    w = bound.bit_length()
     shifted = map(operator.lshift, values, map(operator.mul, columns, repeat(w)))
     packed = list(_row_sums(shifted, counts))
     squared = _row_sums(map(operator.mul, values, map(packed.__getitem__, columns)), counts)
@@ -413,11 +414,6 @@ def _f3_pivots(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
     return table
 
 
-def _f3_rank(rows: Iterable[tuple[int, int]]) -> int:
-    """Rank over F_3 of rows held as (positions of 1, positions of 2)."""
-    return len(_f3_pivots(rows))
-
-
 def _byte_blocks(x: int, size: int, count: int) -> Iterator[int]:
     """The nonnegative x cut into count blocks of size bytes, lowest first."""
     data = x.to_bytes(size * count, "little")
@@ -425,23 +421,10 @@ def _byte_blocks(x: int, size: int, count: int) -> Iterator[int]:
     return map(int.from_bytes, blocks, repeat("little"))
 
 
-def _residue_masks(nz: Nonzeros) -> tuple[list[int], list[int], list[int]]:
-    """Per row, the bitmasks of its entries that are odd, 1 mod 3 and 2 mod 3.
-
-    Bit j stands for column j.  Each nonzero's residue r mod 6 picks a
-    code whose three lanes of width cols hold r mod 2, [r = 1 mod 3] and
-    [r = 2 mod 3]; shifted to their columns, a row's codes share no bit,
-    so their sum holds the row's three masks side by side.
-    """
-    c = nz.cols
-    codes = [r & 1 | (r % 3 == 1) << c | (r % 3 == 2) << 2 * c for r in range(6)]
-    residues = map(operator.mod, nz.values, repeat(6))
-    shifted = map(operator.lshift, map(codes.__getitem__, residues), nz.columns)
-    lanes = list(_row_sums(shifted, nz.counts))
-    low = (1 << c) - 1
-    odd = list(map(operator.and_, lanes, repeat(low)))
-    ones = list(map(operator.and_, map(operator.rshift, lanes, repeat(c)), repeat(low)))
-    return odd, ones, list(map(operator.rshift, lanes, repeat(2 * c)))
+def _odd_masks(nz: Nonzeros) -> list[int]:
+    """Per row, the bitmask of its odd entries: bit j stands for column j."""
+    odd = map(operator.and_, nz.values, repeat(1))
+    return list(_row_sums(map(operator.lshift, odd, nz.columns), nz.counts))
 
 
 def exterior_trace_poly(a: IntMatrix) -> tuple[int, ...]:

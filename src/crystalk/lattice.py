@@ -3,12 +3,12 @@
 An involution A on Z^n decomposes the lattice into trivial summands Z
 (A acts as +1), sign summands Z (A acts as -1), and regular summands
 Z^2 carried by the coordinate swap.  This module validates involutions,
-computes the multiplicities (a, b, c) of those three summands from
-ranks over F_2 and F_3, sorts actions into four classes, and produces
-an explicit unimodular change of basis U to the canonical
+computes the multiplicities (a, b, c) of those three summands from the
+trace and one rank over F_2, sorts actions into four classes, and
+produces an explicit unimodular change of basis U to the canonical
 block-diagonal form T from two Smith forms, certified by A·U = U·T and
 |det U| = 1 with no inverse computed.  A lattice reads its matrix once,
-as its nonzeros, for both the exact A·A = I check and the F_2/F_3 ranks.
+as its nonzeros, for both the exact A·A = I check and the F_2 rank.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from .intlin import (
     IntMatrix,
     Nonzeros,
-    _f3_add,
-    _f3_rank,
     _gf2_basis,
-    _residue_masks,
+    _odd_masks,
     first_row_off_identity_square,
     nonzeros,
     smith_normal_form,
@@ -82,7 +80,7 @@ class ActionClass(enum.Enum):
 
 
 class LatticeAnalysis(NamedTuple):
-    """Structure of the lattice, read off the ranks of A - I over F_2 and F_3.
+    """Structure of the lattice, read off the trace of A and the rank of A - I over F_2.
 
     (a, b, c) fix the lattice up to isomorphism (Reiner 1957); the
     fixed subtorus has dimension a + c and 2^b components.
@@ -132,38 +130,38 @@ def classify(lat: InvolutiveLattice) -> ActionClass:
 
 
 def _analyse(a_mat: IntMatrix, nz: Nonzeros) -> LatticeAnalysis:
-    """Analysis of a validated involution from ranks over F_2 and F_3.
+    """Analysis of a validated involution from its trace and one rank over F_2.
 
     Precondition: A·A = I exactly, and nz holds the nonzeros of A.
     This function is reached only through
     :attr:`InvolutiveLattice.analysis`, and :func:`validate_involution`,
     the only constructor of a lattice, has checked A·A = I on that nz.
 
-    Write r2 = rank_F2(A - I) and r3 = rank_F3(A - I).  Given A·A = I:
+    Write p = (n + tr A)/2 and r2 = rank_F2(A - I).  Given A·A = I:
 
+    * Over Q, A·A = I splits Q^n into the +1 and -1 eigenspaces of A, so
+      A is diagonalizable with tr A = p - (n - p), and p is the
+      dimension of the +1 eigenspace, the rank of ker(A - I).  On the
+      canonical form Triv and Reg each add one fixed direction and Sign
+      none, so p = a + c.
     * coker(A - I) has torsion killed by 2: if kx = (A - I)z then
       (A + I)x = 0, so 2x = -(A - I)x.  Its invariant factors thus lie
       in {0, 1, 2}, and the number of units among them is r2.  On the
       canonical form, Triv gives 0, Sign gives 2 and Reg gives 1 and 0,
       so c = r2 and b is the number of factors 2.
-    * Over F_3, A·A = I splits F_3^n into the +1 and -1 eigenspaces,
-      so rank_F3(A - I) + rank_F3(A + I) = n, as over Q.  A rank over
-      F_p never exceeds the rank over Q (a minor nonzero mod p is
-      nonzero), so both F_3 ranks equal the Q ranks and
-      r3 = rank_Q(A - I) = b + c.
 
-    Hence c = r2, b = r3 - r2, a = n - r3 - r2, the fixed subtorus has
-    dimension n - r3 = a + c, and its components are the 2^b elements
-    of the torsion of coker(A - I).  Only r3 is computed: the complement
-    identity follows from A·A = I, so checking it here would catch nothing.
+    Hence c = r2, a = p - c, b = n - p - c, the fixed subtorus has
+    dimension p = a + c, and its components are the 2^b elements of the
+    torsion of coker(A - I).  The trace guard cannot fire after an exact
+    A·A = I; it is kept as an internal invariant.
     """
     n = a_mat.rows
-    odd, ones, twos = _residue_masks(nz)
-    diagonal = [1 << i for i in range(n)]
-    r2 = len(_gf2_basis(map(operator.xor, odd, diagonal)))
-    # subtracting I adds 2 on the diagonal
-    r3 = _f3_rank(map(_f3_add, zip(ones, twos), zip([0] * n, diagonal)))
-    inv = StructureInvariants(a=n - r3 - r2, b=r3 - r2, c=r2)
+    trace = sum(a_mat.entries[:: n + 1])
+    p, odd = divmod(n + trace, 2)
+    if odd or not 0 <= p <= n:
+        raise InternalInvariantError(f"trace {trace} is not that of an involution on Z^{n}")
+    c = len(_gf2_basis(map(operator.xor, _odd_masks(nz), [1 << i for i in range(n)])))
+    inv = StructureInvariants(a=p - c, b=n - p - c, c=c)
 
     if inv.c >= 1:
         cls = ActionClass.MIXED_NONSPLIT
@@ -176,7 +174,7 @@ def _analyse(a_mat: IntMatrix, nz: Nonzeros) -> LatticeAnalysis:
         cls = ActionClass.FREE_OUTSIDE_ORIGIN
     else:
         cls = ActionClass.MIXED_SPLIT
-    return LatticeAnalysis(inv, cls, fixed_dim=n - r3, fixed_components=2**inv.b)
+    return LatticeAnalysis(inv, cls, fixed_dim=p, fixed_components=2**inv.b)
 
 
 def canonical_matrix(a: int, b: int, c: int) -> IntMatrix:

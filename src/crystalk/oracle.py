@@ -44,7 +44,7 @@ from .intlin import (
     _f3_add,
     _f3_pivots,
     _gf2_basis,
-    _residue_masks,
+    _odd_masks,
     first_row_off_identity_square,
     kernel_columns,
     kernel_coordinates,
@@ -102,7 +102,7 @@ def rank_exact(m: IntMatrix) -> int:
 
 
 def _gf2_rank_rows(m: IntMatrix) -> int:
-    return len(_gf2_basis(_residue_masks(nonzeros(m))[0]))
+    return len(_gf2_basis(_odd_masks(nonzeros(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def fixed_grid_components(a: IntMatrix, d: int) -> FixedGridResult:
             count += counts1[key]
             components.update(high ^ h for h in highs1[key])
     # reduce modulo the mod-2 column space, its bit i spread to the top of slot i
-    for b in _gf2_basis(_residue_masks(nonzeros(m_int.transpose()))[0]):
+    for b in _gf2_basis(_odd_masks(nonzeros(m_int.transpose()))):
         lead = (b.bit_length() - 1) * width + shift
         b = sum(1 << (i * width + shift) for i in range(n) if b >> i & 1)
         components = {x ^ b if x >> lead & 1 else x for x in components}
@@ -661,7 +661,7 @@ def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]
 
 
 def _check_invariants(member, lat, report, first_ranks):
-    """(a, b, c) from the F_2/F_3 analysis against the canonical form the corpus conjugated."""
+    """(a, b, c) from the trace and an F_2 rank, against the corpus's canonical form."""
     return lat.analysis.invariants == member.invariants
 
 

@@ -85,9 +85,9 @@ def _rank_fields(ranks: tuple[int, int], scope_flag: str, **extra: dict) -> dict
 def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
     """Dimension a + c and component count 2^b of the fixed subtorus.
 
-    Both come from the lattice analysis, which reads them off the ranks
-    of A - I over F_2 and F_3; the components are the elements of the
-    torsion (Z/2)^b of coker(A - I).
+    Both come from the lattice analysis, which reads a + c off the trace
+    of A and c off the rank of A - I over F_2; the components are the
+    elements of the torsion (Z/2)^b of coker(A - I).
     """
     analysis = lat.analysis
     return FixedSetDescription(dim=analysis.fixed_dim, components=analysis.fixed_components)
@@ -101,17 +101,15 @@ def _exterior_even_odd(m: int) -> tuple[int, int]:
 def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     """Invariant/anti-invariant dimensions of H*(T^n) under the involution.
 
-    Over Q the involution splits as V+ + V- with p = (n + tr A)/2 and
-    q = n - p; tr A is read off the diagonal, not from the lattice
-    analysis.  H*(T^n) = Lambda(V+) (x) Lambda(V-) and A acts on
+    Over Q the involution splits as V+ + V- with p = dim V+ = a + c,
+    which the lattice analysis reads off the trace as (n + tr A)/2, and
+    q = n - p.  H*(T^n) = Lambda(V+) (x) Lambda(V-) and A acts on
     Lambda^i(V+) (x) Lambda^j(V-) by (-1)^j, so each dimension is a
     product of the even/odd parts of the two exterior algebras.
     """
     n = lat.n
-    trace = sum(lat.matrix.entries[:: n + 1])
-    p, odd = divmod(n + trace, 2)
-    if odd or not 0 <= p <= n:
-        raise InternalInvariantError(f"trace {trace} is not that of an involution on Z^{n}")
+    inv = lat.analysis.invariants
+    p = inv.a + inv.c
     even_p, odd_p = _exterior_even_odd(p)
     even_q, odd_q = _exterior_even_odd(n - p)
     even_inv, odd_inv = even_p * even_q, odd_p * even_q

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from crystalk.errors import InternalInvariantError
 from crystalk.intlin import (
     IntMatrix,
-    _residue_masks,
+    _odd_masks,
     exterior_trace_poly,
     first_row_off_identity_square,
     kernel_columns,
@@ -303,6 +303,10 @@ class TestSquareIsIdentity:
         ]
         assert first_row_off_identity_by_dot_products(mat(rows)) == 0
         assert off_identity(rows) == 0
+        # the slot is as narrow as it can be: here r·m + 1 = 3 takes 2 bits, and
+        # row 0 of A·A is (-1, 1), which 1-bit slots would pack to -1 + 2 = 1,
+        # like a unit row
+        assert off_identity([[0, -1], [1, -1]]) == 0
 
     def test_matches_dot_products_on_exterior_powers(self):
         # Λ^k(A) of an involution, and copies with one entry moved: set to
@@ -353,9 +357,4 @@ class TestNonzeros:
         def mask(row, keep):
             return sum(1 << j for j, x in enumerate(row) if keep(x))
 
-        rows = m.to_rows()
-        assert _residue_masks(nonzeros(m)) == (
-            [mask(row, lambda x: x % 2) for row in rows],
-            [mask(row, lambda x: x % 3 == 1) for row in rows],
-            [mask(row, lambda x: x % 3 == 2) for row in rows],
-        )
+        assert _odd_masks(nonzeros(m)) == [mask(row, lambda x: x % 2) for row in m.to_rows()]

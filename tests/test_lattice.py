@@ -5,9 +5,8 @@ from crystalk import oracle
 from crystalk.errors import InternalInvariantError, NotInvolutionError, NotSquareError
 from crystalk.intlin import (
     IntMatrix,
-    _f3_rank,
+    _f3_pivots,
     kernel_columns,
-    nonzeros,
     random_unimodular,
     smith_normal_form,
 )
@@ -16,7 +15,6 @@ from crystalk.lattice import (
     Block,
     LatticeAnalysis,
     StructureInvariants,
-    _analyse,
     canonical_matrix,
     classify,
     decompose,
@@ -325,8 +323,8 @@ class TestAnalysisRoutes:
         with pytest.raises(InternalInvariantError, match=message):
             oracle.exterior_action_invariants(IntMatrix.identity(2))
 
-    def test_analysis_computes_one_f3_rank(self, count_calls):
-        calls = count_calls(_f3_rank)
-        m = canonical_matrix(1, 2, 1)
-        _analyse(m, nonzeros(m))
-        assert len(calls) == 1
+    def test_analysis_runs_no_f3_elimination(self, count_calls):
+        # b + c is read off the trace, so no rank over F_3 is taken
+        calls = count_calls(_f3_pivots)
+        assert validate_involution(canonical_matrix(1, 2, 1)).analysis.invariants == (1, 2, 1)
+        assert calls == []
