@@ -3,8 +3,10 @@
 
 For each rank n the sweep covers the trivial action, the point
 reflection (free away from the origin), every split action
-diag(I_r, -I_{n-r}), and, at n = 2, the swap lattice.  Both rank
-routes run on every split case: ``integral_k_theory`` assembles it by
+diag(I_r, -I_{n-r}), and, at n = 2, the swap lattice.  Each case is
+validated as a matrix, and its ranks are read off the lattice's
+analysis, the summand multiplicities (a, b, c).  Both rank routes run on
+every split case: ``integral_k_theory`` assembles it by
 ``kunneth_assembly``, which compares the two and raises on any
 disagreement, aborting the sweep.
 """
@@ -38,7 +40,7 @@ def main() -> int:
             cases.append(("swap", IntMatrix.from_rows([[0, 1], [1, 0]])))
         for name, matrix in cases:
             lat = validate_involution(matrix)
-            report = integral_k_theory(lat)
+            report = integral_k_theory(lat.analysis)
             cls = classify(lat)
             note = report["scope_flag"]
             if cls is ActionClass.MIXED_SPLIT:

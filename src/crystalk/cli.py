@@ -308,7 +308,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_ranks(args: argparse.Namespace) -> int:
     lat = validate_involution(_load_matrix(args))
     if args.route != "delocalized":
-        _require_split(lat)
+        _require_split(lat.analysis)
     report = build_report(lat, kind="torus")
     # integral_k_theory has run every route that applies to the class and
     # raised unless they agree, so each requested route's ranks are the report's
@@ -413,11 +413,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     by_class: dict[tuple, list[dict]] = {}  # rows, classes in first-seen order
     for member in corpus:
-        lat = validate_involution(member.matrix)
-        analysis, report = lat.analysis, integral_k_theory(lat)
+        analysis = validate_involution(member.matrix).analysis
+        report = integral_k_theory(analysis)
         members = by_class.setdefault(analysis.invariants, [])
         first_ranks = members[0]["ranks"] if members else report["ranks"]
-        results = [(name, check(member, lat, report, first_ranks)) for name, check in checks]
+        results = [(name, check(member, analysis, report, first_ranks)) for name, check in checks]
         passed = {name: ok for name, ok in results if ok is not None}
         row = {
             "invariants": analysis.invariants._asdict(),
@@ -476,6 +476,13 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
         else:
             super()._print_message(message, file)
+
+    def _check_value(self, action: argparse.Action, value) -> None:
+        # the check of argparse up to 3.13.0, whose later str quoting would move the text
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
 
 
 @cache

@@ -71,6 +71,11 @@ class StructureInvariants(NamedTuple):
     b: int
     c: int
 
+    @property
+    def n(self) -> int:
+        """The ambient rank a + b + 2c."""
+        return self.a + self.b + 2 * self.c
+
 
 class ActionClass(enum.Enum):
     TRIVIAL = "Trivial"
@@ -90,6 +95,19 @@ class LatticeAnalysis(NamedTuple):
     action_class: ActionClass
     fixed_dim: int
     fixed_components: int
+
+    @classmethod
+    def from_invariants(cls, inv: StructureInvariants) -> LatticeAnalysis:
+        """The class, fixed dimension a + c and 2^b components that (a, b, c) determine."""
+        if inv.c:
+            action = ActionClass.MIXED_NONSPLIT
+        elif not inv.b:
+            action = ActionClass.TRIVIAL
+        elif not inv.a:
+            action = ActionClass.FREE_OUTSIDE_ORIGIN
+        else:
+            action = ActionClass.MIXED_SPLIT
+        return cls(inv, action, fixed_dim=inv.a + inv.c, fixed_components=2**inv.b)
 
 
 class Block(enum.Enum):
@@ -161,20 +179,12 @@ def _analyse(a_mat: IntMatrix, nz: Nonzeros) -> LatticeAnalysis:
     if odd or not 0 <= p <= n:
         raise InternalInvariantError(f"trace {trace} is not that of an involution on Z^{n}")
     c = len(_gf2_basis(map(operator.xor, _odd_masks(nz), [1 << i for i in range(n)])))
-    inv = StructureInvariants(a=p - c, b=n - p - c, c=c)
-
-    if inv.c >= 1:
-        cls = ActionClass.MIXED_NONSPLIT
-    elif inv.a == n:
-        cls = ActionClass.TRIVIAL
-    elif inv.b == n:
+    analysis = LatticeAnalysis.from_invariants(StructureInvariants(a=p - c, b=n - p - c, c=c))
+    if analysis.action_class is ActionClass.FREE_OUTSIDE_ORIGIN:
         minus_identity = tuple(-1 if i == j else 0 for i in range(n) for j in range(n))
         if a_mat.entries != minus_identity:
             raise InternalInvariantError("sign-only invariants but A != -I")
-        cls = ActionClass.FREE_OUTSIDE_ORIGIN
-    else:
-        cls = ActionClass.MIXED_SPLIT
-    return LatticeAnalysis(inv, cls, fixed_dim=p, fixed_components=2**inv.b)
+    return analysis
 
 
 def canonical_matrix(a: int, b: int, c: int) -> IntMatrix:

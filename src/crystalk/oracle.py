@@ -660,44 +660,43 @@ def involution_corpus(n: int, seed: int, count: int) -> tuple[CorpusMember, ...]
 # does not apply to the member's class, and calls the verifiers at call time
 
 
-def _check_invariants(member, lat, report, first_ranks):
+def _check_invariants(member, analysis, report, first_ranks):
     """(a, b, c) from the trace and an F_2 rank, against the corpus's canonical form."""
-    return lat.analysis.invariants == member.invariants
+    return analysis.invariants == member.invariants
 
 
-def _check_tate(member, lat, report, first_ranks):
+def _check_tate(member, analysis, report, first_ranks):
     """(a, b, c) from the mod-2 quotients ker(A -+ I)/(A +- I)Z^n (``tate_invariants``)."""
     return tate_invariants(member.matrix) == member.invariants
 
 
-def _check_conjugation(member, lat, report, first_ranks):
+def _check_conjugation(member, analysis, report, first_ranks):
     """Ranks against those of the class's first member: conjugates share their K-theory."""
     return report["ranks"] == first_ranks
 
 
-def _check_hexagon(member, lat, report, first_ranks):
+def _check_hexagon(member, analysis, report, first_ranks):
     """The alternating rank sum around the six-term exact sequence (``hexagon_rank_sum``)."""
-    return hexagon_rank_sum(lat) == 0
+    return hexagon_rank_sum(analysis) == 0
 
 
-def _check_routes(member, lat, report, first_ranks):
+def _check_routes(member, analysis, report, first_ranks):
     """The Kunneth assembly against the delocalized route, which it compares or raises."""
-    return True if lat.analysis.action_class is ActionClass.MIXED_SPLIT else None
+    return True if analysis.action_class is ActionClass.MIXED_SPLIT else None
 
 
-def _check_exterior(member, lat, report, first_ranks):
+def _check_exterior(member, analysis, report, first_ranks):
     """The cohomology action from Λ(A mod 3) on the exterior algebra, over F_3."""
-    return exterior_action_invariants(member.matrix) == cohomology_invariants(lat)
+    return exterior_action_invariants(member.matrix) == cohomology_invariants(analysis)
 
 
-def _check_grid(member, lat, report, first_ranks):
+def _check_grid(member, analysis, report, first_ranks):
     """Fixed-set components and dimension from enumerated rational torus points."""
     grid = fixed_grid_components(member.matrix, VERIFY_GRID_DENOMINATOR)
-    analysis = lat.analysis
     return (grid.components, grid.dim_estimate) == (analysis.fixed_components, analysis.fixed_dim)
 
 
-# one (name, check) row per check, each called as check(member, lat, report, first_ranks)
+# one (name, check) row per check, each called as check(member, analysis, report, first_ranks)
 VERIFY_CHECKS = (
     ("invariants", _check_invariants),
     ("tate", _check_tate),

@@ -10,7 +10,8 @@ For an involution A on Z^n acting on the n-torus, this module computes
 * the K-theory of the reduced C*-algebra of Z^n x| Z/2 by dualizing.
 
 The two routes are independent, and :func:`integral_k_theory` checks
-them against each other where both apply.
+them against each other where both apply.  Each answer function reads
+the lattice's analysis of (a, b, c), not its matrix; only the reports echo A.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from .errors import InternalInvariantError, ScopeError
-from .lattice import ActionClass, InvolutiveLattice
+from .lattice import ActionClass, InvolutiveLattice, LatticeAnalysis
 from .repring import (
     DYADIC,
     MIN_MINUS,
@@ -82,14 +83,13 @@ def _rank_fields(ranks: tuple[int, int], scope_flag: str, **extra: dict) -> dict
     return {"ranks": {"k0": ranks[0], "k1": ranks[1]}, "scope_flag": scope_flag, **extra}
 
 
-def fixed_set(lat: InvolutiveLattice) -> FixedSetDescription:
+def fixed_set(analysis: LatticeAnalysis) -> FixedSetDescription:
     """Dimension a + c and component count 2^b of the fixed subtorus.
 
     Both come from the lattice analysis, which reads a + c off the trace
     of A and c off the rank of A - I over F_2; the components are the
     elements of the torsion (Z/2)^b of coker(A - I).
     """
-    analysis = lat.analysis
     return FixedSetDescription(dim=analysis.fixed_dim, components=analysis.fixed_components)
 
 
@@ -98,7 +98,7 @@ def _exterior_even_odd(m: int) -> tuple[int, int]:
     return (2 ** (m - 1), 2 ** (m - 1)) if m else (1, 0)
 
 
-def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
+def cohomology_invariants(analysis: LatticeAnalysis) -> CohomologyAction:
     """Invariant/anti-invariant dimensions of H*(T^n) under the involution.
 
     Over Q the involution splits as V+ + V- with p = dim V+ = a + c,
@@ -107,9 +107,8 @@ def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     Lambda^i(V+) (x) Lambda^j(V-) by (-1)^j, so each dimension is a
     product of the even/odd parts of the two exterior algebras.
     """
-    n = lat.n
-    inv = lat.analysis.invariants
-    p = inv.a + inv.c
+    inv = analysis.invariants
+    n, p = inv.n, inv.a + inv.c
     even_p, odd_p = _exterior_even_odd(p)
     even_q, odd_q = _exterior_even_odd(n - p)
     even_inv, odd_inv = even_p * even_q, odd_p * even_q
@@ -122,15 +121,15 @@ def cohomology_invariants(lat: InvolutiveLattice) -> CohomologyAction:
     )
 
 
-def _fixed_cohomology_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
+def _fixed_cohomology_ranks(analysis: LatticeAnalysis) -> tuple[int, int]:
     """(even, odd) cohomology ranks of the fixed set, a disjoint union of
     affine subtori."""
-    desc = fixed_set(lat)
+    desc = fixed_set(analysis)
     even, odd = _exterior_even_odd(desc.dim)
     return desc.components * even, desc.components * odd
 
 
-def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
+def twisted_ranks(analysis: LatticeAnalysis) -> tuple[int, int]:
     """Ranks of the sign-twisted equivariant theory of the torus.
 
     Recipe: the identity contribution comes from anti-invariant torus
@@ -140,24 +139,24 @@ def twisted_ranks(lat: InvolutiveLattice) -> tuple[int, int]:
     fixed set.  The recipe is enforced by the six-term alternating
     rank identity, see :func:`hexagon_rank_sum`.
     """
-    action = cohomology_invariants(lat)
-    h_even, h_odd = _fixed_cohomology_ranks(lat)
+    action = cohomology_invariants(analysis)
+    h_even, h_odd = _fixed_cohomology_ranks(analysis)
     return (action.odd_anti + h_even, action.even_anti + h_odd)
 
 
-def k_ranks_delocalized(lat: InvolutiveLattice) -> tuple[int, int]:
+def k_ranks_delocalized(analysis: LatticeAnalysis) -> tuple[int, int]:
     """Equivariant K-theory ranks (k0, k1) via the fixed-point (delocalized) formula.
 
     Degree-0 rank is the invariant even cohomology plus the even
     cohomology of the fixed set; degree 1 likewise with odd parts.
     This route produces rational ranks only.
     """
-    action = cohomology_invariants(lat)
-    h_even, h_odd = _fixed_cohomology_ranks(lat)
+    action = cohomology_invariants(analysis)
+    h_even, h_odd = _fixed_cohomology_ranks(analysis)
     return (action.even_inv + h_even, action.odd_inv + h_odd)
 
 
-def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
+def hexagon_rank_sum(analysis: LatticeAnalysis) -> int:
     """Alternating rank sum around the six-term exact sequence.
 
     rk K^1(T^n) - k0_twisted + k0 - rk K^0(T^n) + k1_twisted - k1.
@@ -168,9 +167,9 @@ def hexagon_rank_sum(lat: InvolutiveLattice) -> int:
     ``cohomology_invariants`` raises.  So the sum is nonzero only if
     ``twisted_ranks`` and ``k_ranks_delocalized`` are edited out of step.
     """
-    half = 2 ** (lat.n - 1)
-    k0m, k1m = twisted_ranks(lat)
-    k0, k1 = k_ranks_delocalized(lat)
+    half = 2 ** (analysis.invariants.n - 1)
+    k0m, k1m = twisted_ranks(analysis)
+    k0, k1 = k_ranks_delocalized(analysis)
     return half - k0m + k0 - half + k1m - k1
 
 
@@ -179,18 +178,18 @@ def _step(step: str, inputs: dict, outputs: dict, anchor: str) -> dict:
     return {"step": step, "input": inputs, "output": outputs, "anchor": anchor}
 
 
-def _require_split(lat: InvolutiveLattice) -> None:
-    """Raise ScopeError unless the Kunneth assembly applies to ``lat``."""
-    cls = lat.analysis.action_class
+def _require_split(analysis: LatticeAnalysis) -> None:
+    """Raise ScopeError unless the Kunneth assembly applies to the lattice."""
+    cls = analysis.action_class
     if cls is not ActionClass.MIXED_SPLIT:
-        inv = lat.analysis.invariants
+        inv = analysis.invariants
         raise ScopeError(
             f"Kunneth assembly applies to the split mixed class only, got {cls.value} "
             f"with (a, b, c) = ({inv.a}, {inv.b}, {inv.c})"
         )
 
 
-def kunneth_assembly(lat: InvolutiveLattice) -> dict:
+def kunneth_assembly(analysis: LatticeAnalysis) -> dict:
     """Rank computation through the Kunneth/localization pipeline.
 
     Valid exactly for the split mixed class (c = 0, 1 <= a <= n-1).
@@ -216,9 +215,9 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
     Returns the report's rank fields with the five steps as its certificate.
     Raises ScopeError for trivial, free, or non-split actions.
     """
-    _require_split(lat)
-    inv = lat.analysis.invariants
-    n = lat.n
+    _require_split(analysis)
+    inv = analysis.invariants
+    n = inv.n
     r = inv.a
     m = n - r
 
@@ -287,7 +286,7 @@ def kunneth_assembly(lat: InvolutiveLattice) -> dict:
     )
 
     ranks = (module_rank(product),) * 2
-    deloc = k_ranks_delocalized(lat)
+    deloc = k_ranks_delocalized(analysis)
     if deloc != ranks:
         raise InternalInvariantError(f"route disagreement: assembly {ranks}, delocalized {deloc}")
     step5 = _step(
@@ -330,7 +329,7 @@ def collect_torsion_flags(certificate: dict) -> list[bool]:
     return flags
 
 
-def integral_k_theory(lat: InvolutiveLattice) -> dict:
+def integral_k_theory(analysis: LatticeAnalysis) -> dict:
     """Equivariant K-theory of the torus, dispatched by action class, as
     the rank fields of the report.
 
@@ -339,12 +338,12 @@ def integral_k_theory(lat: InvolutiveLattice) -> dict:
     the certified Kunneth assembly; the non-split class is reported with
     rational ranks only.
     """
-    cls = lat.analysis.action_class
+    cls = analysis.action_class
     if cls is ActionClass.MIXED_SPLIT:
-        return kunneth_assembly(lat)
+        return kunneth_assembly(analysis)
     if cls is ActionClass.MIXED_NONSPLIT:
-        return _rank_fields(k_ranks_delocalized(lat), _RATIONAL_ONLY)
-    n = lat.n
+        return _rank_fields(k_ranks_delocalized(analysis), _RATIONAL_ONLY)
+    n = analysis.invariants.n
     if cls is ActionClass.TRIVIAL:
         case, modules = "trivial", (module(FreeR=2 ** (n - 1)),) * 2
         anchor = (
@@ -358,7 +357,7 @@ def integral_k_theory(lat: InvolutiveLattice) -> dict:
             "extension of the two rank-1 ideals and degree 1 vanishes"
         )
     ranks = module_rank(modules[0]), module_rank(modules[1])
-    if k_ranks_delocalized(lat) != ranks:
+    if k_ranks_delocalized(analysis) != ranks:
         raise InternalInvariantError(f"{case}-case ranks disagree with delocalized route")
     structure = {"k0": modules[0], "k1": modules[1]}
     step = _step(
@@ -401,7 +400,7 @@ def build_report(lat: InvolutiveLattice, kind: str = "torus") -> dict:
         raise ValueError(f"unknown report kind {kind!r}")
     out = structure_report(lat)
     out["theory"] = "equivariant-torus" if kind == "torus" else "group-cstar"
-    out.update(integral_k_theory(lat))
+    out.update(integral_k_theory(lat.analysis))
     notes: list[str] = []
     if out["scope_flag"] == _RATIONAL_ONLY:
         notes.append(

@@ -77,9 +77,9 @@ def test_criterion_2_split_mixed_case():
             expected = (3 * 2 ** (n - 2), 3 * 2 ** (n - 2))
             for r in range(1, n):
                 lat = validate_involution(split_matrix(n, r))
-                assembled = kunneth_assembly(lat)
+                assembled = kunneth_assembly(lat.analysis)
                 assert assembled["ranks"] == {"k0": expected[0], "k1": expected[1]}, (n, r)
-                assert k_ranks_delocalized(lat) == expected, (n, r)
+                assert k_ranks_delocalized(lat.analysis) == expected, (n, r)
                 assert len(assembled["certificate"]["steps"]) == 5
 
 
@@ -99,12 +99,12 @@ def test_criterion_4_route_agreement_on_corpora():
             for member in corpus(n, 25):
                 lat = validate_involution(member.matrix)
                 inv = member.invariants
-                ranks = k_ranks_delocalized(lat)
+                ranks = k_ranks_delocalized(lat.analysis)
                 key = (inv.a, inv.b, inv.c)
                 expected = by_class.setdefault(key, ranks)
                 assert ranks == expected, (n, key)
                 if classify(lat) is ActionClass.MIXED_SPLIT:
-                    assembled = kunneth_assembly(lat)["ranks"]
+                    assembled = kunneth_assembly(lat.analysis)["ranks"]
                     assert (assembled["k0"], assembled["k1"]) == ranks, (n, key)
 
 
@@ -118,17 +118,17 @@ def test_criterion_5_oracle_equivalence():
             for member in corpus(n, 3):
                 lat = validate_involution(member.matrix)
                 assert oracle.exterior_action_invariants(member.matrix) == (
-                    cohomology_invariants(lat)
+                    cohomology_invariants(lat.analysis)
                 ), (n, member.invariants)
                 grid = oracle.fixed_grid_components(member.matrix, 4)
-                desc = fixed_set(lat)
+                desc = fixed_set(lat.analysis)
                 assert grid.components == desc.components, (n, member.invariants)
                 assert grid.dim_estimate == desc.dim, (n, member.invariants)
         for n in (7, 8):
             for member in corpus(n, 2):
                 lat = validate_involution(member.matrix)
                 assert oracle.exterior_action_invariants(member.matrix) == (
-                    cohomology_invariants(lat)
+                    cohomology_invariants(lat.analysis)
                 ), (n, member.invariants)
 
 
@@ -158,7 +158,7 @@ def test_criterion_7_torsion_freeness_certificates():
                     runs.append(lat)
         assert runs
         for lat in runs:
-            certificate = integral_k_theory(lat)["certificate"]
+            certificate = integral_k_theory(lat.analysis)["certificate"]
             flags = collect_torsion_flags(certificate)
             assert flags, "certificate must record localized shapes"
             assert not any(flags)
@@ -173,7 +173,7 @@ def test_criterion_8_hexagon_rank_consistency():
     with criterion(8, 30.0, "six-term alternating rank sum vanishes on every corpus member, n <= 6"):
         for n in range(1, 7):
             for member in corpus(n, 25):
-                assert hexagon_rank_sum(validate_involution(member.matrix)) == 0, (
+                assert hexagon_rank_sum(validate_involution(member.matrix).analysis) == 0, (
                     n,
                     member.invariants,
                 )
@@ -186,7 +186,7 @@ def test_criterion_9_out_of_scope_honesty():
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
         lat = validate_involution(swap)
 
-        assert k_ranks_delocalized(lat) == (2, 2)
+        assert k_ranks_delocalized(lat.analysis) == (2, 2)
 
         # second route composed purely from the brute-force verifiers
         action = oracle.exterior_action_invariants(swap)

@@ -101,19 +101,23 @@ def test_cli_output_matches_golden(argv):
 
 
 # sha256 over the sorted-key JSON of every torus and cstar report on the
-# canonical form of each (a, b, c) with n <= 8, one line per report
+# canonical form of each (a, b, c), one line per report: the 188 reports
+# with n <= 8, and the 1048 with n <= 16
 REPORTS_SHA256 = "ab52f9a12c019c85dfcc6147e1ee8e0857c89cef53480df8e4de082d99fcc24a"
+REPORTS_N16_SHA256 = "40320a6d8f4657c7928628c914aa27d8859ab6f58eaa88abfc1f96570406c11a"
 
 
 def test_every_canonical_report_up_to_n8_is_pinned():
     h = hashlib.sha256()
-    for n in range(1, 9):
+    digests = {}
+    for n in range(1, 17):
         for c in range(n // 2 + 1):
             for a in range(n - 2 * c + 1):
                 lat = validate_involution(canonical_matrix(a, n - 2 * c - a, c))
                 for kind in ("torus", "cstar"):
                     h.update(json.dumps(build_report(lat, kind), sort_keys=True).encode() + b"\n")
-    assert h.hexdigest() == REPORTS_SHA256
+        digests[n] = h.hexdigest()
+    assert (digests[8], digests[16]) == (REPORTS_SHA256, REPORTS_N16_SHA256)
 
 
 # sha256 of the stdout of verify --n k --seed 7 --count 1 --format json, with
@@ -160,7 +164,7 @@ def replay() -> int:
     """Run every test above once, print one line per mismatch, return 1 on any."""
     checks = [("the records cover CASES", test_golden_covers_every_case)]
     checks += [(" ".join(argv), partial(test_cli_output_matches_golden, argv)) for argv in CASES]
-    checks += [("canonical reports up to n = 8", test_every_canonical_report_up_to_n8_is_pinned)]
+    checks += [("canonical reports up to n = 16", test_every_canonical_report_up_to_n8_is_pinned)]
     checks += [(f"verify --n {n} sha256", partial(test_verify_json_is_pinned, n)) for n in VERIFY_SHA256]
     checks += [("rank sweep sha256", test_rank_sweep_table_is_pinned)]
     failures = 0

@@ -263,7 +263,7 @@ class TestExteriorAction:
         calls = count_calls(rank_exact)
         member = involution_corpus(4, seed=3, count=1)[5]
         assert exterior_action_invariants(member.matrix) == cohomology_invariants(
-            validate_involution(member.matrix)
+            validate_involution(member.matrix).analysis
         )
         assert calls == []
 
@@ -303,7 +303,7 @@ class TestExteriorAction:
         for corpus in small_corpora.values():
             for member in corpus:
                 assert exterior_action_invariants(member.matrix) == cohomology_invariants(
-                    validate_involution(member.matrix)
+                    validate_involution(member.matrix).analysis
                 )
 
 
@@ -341,7 +341,7 @@ class TestFixedGrid:
     def test_agrees_with_invariant_route(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus:
-                desc = fixed_set(validate_involution(member.matrix))
+                desc = fixed_set(validate_involution(member.matrix).analysis)
                 grid = fixed_grid_components(member.matrix, 4)
                 assert grid.components == desc.components
                 assert grid.dim_estimate == desc.dim

@@ -1,4 +1,4 @@
-"""The package's value types: eight NamedTuple records and two read-only
+"""The package's value types: nine NamedTuple records and two read-only
 slotted classes, none of them a dataclass."""
 
 import copy
@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from crystalk.cli import CATALOG
-from crystalk.intlin import IntMatrix, smith_normal_form
+from crystalk.intlin import IntMatrix, nonzeros, smith_normal_form
 from crystalk.lattice import validate_involution
 from crystalk.oracle import fixed_grid_components, involution_corpus
 from crystalk.toruskt import cohomology_invariants, fixed_set
@@ -19,10 +19,11 @@ def records():
     lat = validate_involution(PM)
     return [
         smith_normal_form(PM),
+        nonzeros(PM),
         lat.analysis.invariants,
         lat.analysis,
-        fixed_set(lat),
-        cohomology_invariants(lat),
+        fixed_set(lat.analysis),
+        cohomology_invariants(lat.analysis),
         fixed_grid_components(PM, 2),
         involution_corpus(1, seed=0, count=1)[0],
         CATALOG[0],
@@ -30,8 +31,8 @@ def records():
 
 
 RECORD_IDS = [
-    "SmithDecomposition", "StructureInvariants", "LatticeAnalysis", "FixedSetDescription",
-    "CohomologyAction", "FixedGridResult", "CorpusMember", "CatalogEntry",
+    "SmithDecomposition", "Nonzeros", "StructureInvariants", "LatticeAnalysis",
+    "FixedSetDescription", "CohomologyAction", "FixedGridResult", "CorpusMember", "CatalogEntry",
 ]
 
 
@@ -41,6 +42,13 @@ def test_named_tuple_record_is_read_only(name, record):
     assert isinstance(record, tuple) and hasattr(type(record), "_fields")
     with pytest.raises(AttributeError):
         setattr(record, type(record)._fields[0], None)
+
+
+def test_rank_of_invariants_is_read_only():
+    inv = validate_involution(PM).analysis.invariants
+    assert inv.n == 2
+    with pytest.raises(AttributeError):
+        inv.n = 3
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def failed_checks(a: IntMatrix) -> list[str]:
     canonical = build_report(validate_involution(canonical_matrix(*inv)), kind="cstar")
     member = CorpusMember(inv, a)
     checks = {
-        name: check(member, lat, report, canonical["ranks"])
+        name: check(member, lat.analysis, report, canonical["ranks"])
         for name, check in verify_checks(a.rows, skip_grid=False)
     }
     # decompose certifies A·U = U·T and |det U| = 1 itself, or raises

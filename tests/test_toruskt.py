@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from crystalk.errors import InternalInvariantError, ScopeError
 from crystalk.intlin import IntMatrix, exterior_trace_poly, random_unimodular
 from crystalk.lattice import (
     ActionClass,
+    LatticeAnalysis,
     StructureInvariants,
     canonical_matrix,
     classify,
@@ -68,48 +71,74 @@ def trace_route(matrix):
     return CohomologyAction(*dims)
 
 
+def bench_expected():
+    """``expected`` of ``bench/gen.py``: every answer from (a, b, c), with no crystalk."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    if not path.exists():
+        pytest.skip("bench/ is absent")
+    return runpy.run_path(str(path))["expected"]
+
+
+def test_answers_on_every_invariant_triple_up_to_n32():
+    # the answers read only the analysis, so each triple goes through the
+    # analysis (a, b, c) determine, with no matrix built or validated
+    expected = bench_expected()
+    triples = [inv for n in range(1, 33) for inv in structure_classes(n)]
+    assert len(triples) == 3416
+    for inv in triples:
+        analysis = LatticeAnalysis.from_invariants(StructureInvariants(*inv))
+        desc, fields = fixed_set(analysis), integral_k_theory(analysis)
+        exp = expected(*inv)
+        assert (
+            analysis.action_class.value, fields["scope_flag"], desc.dim, desc.components,
+            fields["ranks"]["k0"], fields["ranks"]["k1"],
+        ) == (exp.action_class, exp.scope_flag, exp.fixed_dim, exp.components, exp.k0, exp.k1), inv
+        assert hexagon_rank_sum(analysis) == 0, inv
+
+
 class TestFixedSet:
     def test_point_reflection_of_circle(self):
         # solutions of 2x in Z on the circle: {0, 1/2}
-        assert fixed_set(MINUS_1) == FixedSetDescription(dim=0, components=2)
+        assert fixed_set(MINUS_1.analysis) == FixedSetDescription(dim=0, components=2)
 
     def test_swap_diagonal_circle(self):
-        assert fixed_set(SWAP) == FixedSetDescription(dim=1, components=1)
+        assert fixed_set(SWAP.analysis) == FixedSetDescription(dim=1, components=1)
 
     def test_trivial_action(self):
-        assert fixed_set(lat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == FixedSetDescription(
+        assert fixed_set(lat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).analysis) == FixedSetDescription(
             dim=3, components=1
         )
 
     def test_component_count_is_power_of_two(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus:
-                desc = fixed_set(validate_involution(member.matrix))
+                desc = fixed_set(validate_involution(member.matrix).analysis)
                 assert desc.components == 2**member.invariants.b
                 assert desc.dim == member.invariants.a + member.invariants.c
 
 
 class TestCohomologyInvariants:
     def test_split_reflection(self):
-        assert cohomology_invariants(PM) == CohomologyAction(
+        assert cohomology_invariants(PM.analysis) == CohomologyAction(
             even_inv=1, odd_inv=1, even_anti=1, odd_anti=1
         )
 
     def test_point_reflection(self):
-        assert cohomology_invariants(lat([[-1, 0], [0, -1]])) == CohomologyAction(
+        assert cohomology_invariants(lat([[-1, 0], [0, -1]]).analysis) == CohomologyAction(
             even_inv=2, odd_inv=0, even_anti=0, odd_anti=2
         )
 
     def test_trivial_action(self):
         for n in (1, 2, 5):
-            act = cohomology_invariants(lat([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
+            l = lat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            act = cohomology_invariants(l.analysis)
             assert (act.even_inv, act.odd_inv) == (2 ** (n - 1), 2 ** (n - 1))
             assert (act.even_anti, act.odd_anti) == (0, 0)
 
     def test_halves_sum_correctly(self, small_corpora):
         for n, corpus in small_corpora.items():
             for member in corpus:
-                act = cohomology_invariants(validate_involution(member.matrix))
+                act = cohomology_invariants(validate_involution(member.matrix).analysis)
                 assert act.even_inv + act.even_anti == 2 ** (n - 1)
                 assert act.odd_inv + act.odd_anti == 2 ** (n - 1)
 
@@ -117,45 +146,46 @@ class TestCohomologyInvariants:
         for n in range(9, 17):
             for member in involution_corpus(n, seed=n, count=1):
                 lattice = validate_involution(member.matrix)
-                assert cohomology_invariants(lattice) == trace_route(member.matrix), n
+                assert cohomology_invariants(lattice.analysis) == trace_route(member.matrix), n
 
 
 class TestTwistedRanks:
     def test_infinite_dihedral(self):
-        assert twisted_ranks(MINUS_1) == (3, 0)
+        assert twisted_ranks(MINUS_1.analysis) == (3, 0)
 
     def test_trivial_circle_hexagon(self):
         # the recipe gives (1, 1) here; the enforced check is exactness
-        assert twisted_ranks(PLUS_1) == (1, 1)
-        assert hexagon_rank_sum(PLUS_1) == 0
+        assert twisted_ranks(PLUS_1.analysis) == (1, 1)
+        assert hexagon_rank_sum(PLUS_1.analysis) == 0
 
     def test_hexagon_vanishes_on_corpora(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus:
-                assert hexagon_rank_sum(validate_involution(member.matrix)) == 0
+                assert hexagon_rank_sum(validate_involution(member.matrix).analysis) == 0
 
 
 class TestDelocalizedRanks:
     def test_split_closed_form(self):
         for n in range(2, 9):
             for r in range(1, n):
-                ranks = k_ranks_delocalized(split_lat(n, r))
+                ranks = k_ranks_delocalized(split_lat(n, r).analysis)
                 assert ranks == (3 * 2 ** (n - 2), 3 * 2 ** (n - 2))
 
     def test_free_closed_form(self):
         for n in range(1, 9):
-            ranks = k_ranks_delocalized(lat([[-1 if i == j else 0 for j in range(n)] for i in range(n)]))
+            l = lat([[-1 if i == j else 0 for j in range(n)] for i in range(n)])
+            ranks = k_ranks_delocalized(l.analysis)
             assert ranks == (3 * 2 ** (n - 1), 0)
 
     def test_swap(self):
-        assert k_ranks_delocalized(SWAP) == (2, 2)
+        assert k_ranks_delocalized(SWAP.analysis) == (2, 2)
 
     def test_conjugation_invariance(self, small_corpora):
         for corpus in small_corpora.values():
             by_class = {}
             for member in corpus:
                 key = (member.invariants.a, member.invariants.b, member.invariants.c)
-                ranks = k_ranks_delocalized(validate_involution(member.matrix))
+                ranks = k_ranks_delocalized(validate_involution(member.matrix).analysis)
                 by_class.setdefault(key, set()).add(ranks)
             for key, values in by_class.items():
                 assert len(values) == 1, (key, values)
@@ -192,20 +222,20 @@ class TestSweepToRank12:
         assert tate_invariants(member.matrix) == expected
         ranks = closed_form_ranks(a, b, c)
         if ranks is not None:
-            assert k_ranks_delocalized(l) == ranks
+            assert k_ranks_delocalized(l.analysis) == ranks
         flag = "RationalOnly" if c else "IntegralCertified"
-        assert integral_k_theory(l)["scope_flag"] == flag
+        assert integral_k_theory(l.analysis)["scope_flag"] == flag
 
 
 class TestKunnethAssembly:
     def test_rank_two_split(self):
-        report = kunneth_assembly(PM)
+        report = kunneth_assembly(PM.analysis)
         assert report["ranks"] == {"k0": 3, "k1": 3}
         assert report["scope_flag"] == "IntegralCertified"
         assert len(report["certificate"]["steps"]) == 5
 
     def test_rank_three(self):
-        assert kunneth_assembly(split_lat(3, 2))["ranks"] == {"k0": 6, "k1": 6}
+        assert kunneth_assembly(split_lat(3, 2).analysis)["ranks"] == {"k0": 6, "k1": 6}
 
     def test_module_work_per_assembly(self, count_calls):
         # kx is the same in both degrees, so one tensor product, and one
@@ -213,11 +243,11 @@ class TestKunnethAssembly:
         # Tor_1 once per degree; localize once at each of the three (1 - t) sites
         lat = split_lat(4, 1)
         calls = [count_calls(f) for f in (toruskt.tensor, toruskt.tor1, toruskt.localize)]
-        kunneth_assembly(lat)
+        kunneth_assembly(lat.analysis)
         assert [len(c) for c in calls] == [1, 2, 5]
 
     def test_step_names_in_order(self):
-        names = [s["step"] for s in kunneth_assembly(PM)["certificate"]["steps"]]
+        names = [s["step"] for s in kunneth_assembly(PM.analysis)["certificate"]["steps"]]
         assert names == [
             "decomposition",
             "localized_kunneth",
@@ -228,37 +258,37 @@ class TestKunnethAssembly:
 
     def test_out_of_scope(self):
         with pytest.raises(ScopeError):
-            kunneth_assembly(SWAP)
+            kunneth_assembly(SWAP.analysis)
         with pytest.raises(ScopeError):
-            kunneth_assembly(PLUS_1)
+            kunneth_assembly(PLUS_1.analysis)
         with pytest.raises(ScopeError):
-            kunneth_assembly(MINUS_1)
+            kunneth_assembly(MINUS_1.analysis)
 
     def test_certificate_is_torsion_free(self):
         for n in range(2, 7):
             for r in range(1, n):
-                certificate = kunneth_assembly(split_lat(n, r))["certificate"]
+                certificate = kunneth_assembly(split_lat(n, r).analysis)["certificate"]
                 flags = collect_torsion_flags(certificate)
                 assert flags and not any(flags)
 
     def test_certificate_replays_identically(self):
-        first = kunneth_assembly(split_lat(4, 2))
-        second = kunneth_assembly(split_lat(4, 2))
+        first = kunneth_assembly(split_lat(4, 2).analysis)
+        second = kunneth_assembly(split_lat(4, 2).analysis)
         assert first == second
         assert json.dumps(first["certificate"]) == json.dumps(second["certificate"])
 
     def test_certificate_depends_only_on_invariants(self):
         p, p_inv = random_unimodular(3, seed=23, steps=12)
         conj = validate_involution(p @ split_lat(3, 1).matrix @ p_inv)
-        assert kunneth_assembly(conj) == kunneth_assembly(split_lat(3, 1))
+        assert kunneth_assembly(conj.analysis) == kunneth_assembly(split_lat(3, 1).analysis)
 
     def test_matches_delocalized_route(self, small_corpora):
         for corpus in small_corpora.values():
             for member in corpus:
                 l = validate_involution(member.matrix)
                 if classify(l) is ActionClass.MIXED_SPLIT:
-                    k0, k1 = k_ranks_delocalized(l)
-                    assert kunneth_assembly(l)["ranks"] == {"k0": k0, "k1": k1}
+                    k0, k1 = k_ranks_delocalized(l.analysis)
+                    assert kunneth_assembly(l.analysis)["ranks"] == {"k0": k0, "k1": k1}
 
     def test_rank_is_read_off_the_assembled_modules(self, monkeypatch):
         # one extra trivial summand in every tensor cell: the assembled rank
@@ -268,25 +298,26 @@ class TestKunnethAssembly:
             toruskt, "tensor", lambda m, n: {k: v + (k == "TrivZ") for k, v in real(m, n).items()}
         )
         with pytest.raises(InternalInvariantError, match="route disagreement"):
-            kunneth_assembly(PM)
+            kunneth_assembly(PM.analysis)
 
 
 class TestIntegralKTheory:
     def test_infinite_dihedral(self):
-        report = integral_k_theory(MINUS_1)
+        report = integral_k_theory(MINUS_1.analysis)
         assert report["ranks"] == {"k0": 3, "k1": 0}
         assert report["scope_flag"] == "IntegralCertified"
 
     def test_split_rank_four(self):
-        assert integral_k_theory(split_lat(4, 1))["ranks"] == {"k0": 12, "k1": 12}
+        assert integral_k_theory(split_lat(4, 1).analysis)["ranks"] == {"k0": 12, "k1": 12}
 
     def test_swap_is_rational_only(self):
-        report = integral_k_theory(SWAP)
+        report = integral_k_theory(SWAP.analysis)
         assert report == {"ranks": {"k0": 2, "k1": 2}, "scope_flag": "RationalOnly"}
 
     def test_trivial_module_structure(self):
         for n in (1, 3):
-            report = integral_k_theory(lat([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
+            l = lat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            report = integral_k_theory(l.analysis)
             assert report["module_structure"] == {
                 "k0": module(FreeR=2 ** (n - 1)),
                 "k1": module(FreeR=2 ** (n - 1)),
@@ -294,7 +325,7 @@ class TestIntegralKTheory:
             assert report["ranks"] == {"k0": 2**n, "k1": 2**n}
 
     def test_free_module_structure(self):
-        report = integral_k_theory(lat([[-1, 0], [0, -1]]))
+        report = integral_k_theory(lat([[-1, 0], [0, -1]]).analysis)
         assert report["module_structure"] == {
             "k0": {"FreeR": 0, "TrivZ": 2, "SignZ": 4, "TorF2": 0},
             "k1": {"FreeR": 0, "TrivZ": 0, "SignZ": 0, "TorF2": 0},
@@ -305,7 +336,8 @@ class TestIntegralKTheory:
         for n, corpus in small_corpora.items():
             for member in corpus:
                 if member.invariants.b == n:
-                    assert integral_k_theory(validate_involution(member.matrix))["ranks"]["k1"] == 0
+                    analysis = validate_involution(member.matrix).analysis
+                    assert integral_k_theory(analysis)["ranks"]["k1"] == 0
 
 
 class TestGroupCstarK:
@@ -325,7 +357,7 @@ class TestGroupCstarK:
         for corpus in small_corpora.values():
             for member in corpus:
                 l = validate_involution(member.matrix)
-                torus = integral_k_theory(l)
+                torus = integral_k_theory(l.analysis)
                 cstar = build_report(l, "cstar")
                 if "certificate" in torus:
                     assert cstar["ranks"] == torus["ranks"]
